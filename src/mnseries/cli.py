@@ -13,7 +13,7 @@ Commands::
     verify      seeded property suites (exit 2 on failure)
     plot        csv/svg emission for np, leg or chain output
 
-Exit codes: 0 success, 1 parse/domain error, 2 property-suite failure.
+Exit codes: 0 success, 1 usage/parse/domain error, 2 property-suite failure.
 All randomness is seeded (default 0) and reports are byte-stable.
 """
 
@@ -368,8 +368,10 @@ _HANDLERS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
+        return 1 if exc.code else 0
     try:
         return _HANDLERS[args.command](args)
     except MNSeriesError as exc:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import Iterable, Tuple, Union
 
 from .errors import DomainError
@@ -75,6 +76,12 @@ class XPoly:
             if exp == e:
                 return c
         return 0
+
+
+def _check_prime(p: int) -> None:
+    """Reject a non-prime p: ``ord_p`` is a valuation only for a prime."""
+    if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        raise DomainError(f"p must be a prime, got {p}")
 
 
 def _p_power_denominator(den: int, p: int) -> bool:
@@ -158,8 +165,7 @@ class PerfectPoly(_PolyDomain):
     denominators: str = "any"
 
     def __post_init__(self):
-        if self.p < 2:
-            raise DomainError(f"p must be at least 2, got {self.p}")
+        _check_prime(self.p)
         if self.denominators not in ("p-power", "any"):
             raise DomainError(f"unknown denominator policy {self.denominators!r}")
 
@@ -205,8 +211,7 @@ class PadicDigits:
     N: int = 32
 
     def __post_init__(self):
-        if self.p < 2:
-            raise DomainError(f"p must be at least 2, got {self.p}")
+        _check_prime(self.p)
         if self.N < 1:
             raise DomainError(f"precision N must be positive, got {self.N}")
 
@@ -289,8 +294,7 @@ class MixedPoly(_PolyDomain):
     denominators: str = "any"
 
     def __post_init__(self):
-        if self.p < 2:
-            raise DomainError(f"p must be at least 2, got {self.p}")
+        _check_prime(self.p)
         if self.N < 1:
             raise DomainError(f"precision N must be positive, got {self.N}")
         if self.denominators not in ("p-power", "any"):

@@ -14,14 +14,11 @@ import json
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .polygon import PLConvexFn
 from .profiles import ApproxCertificate, ChainReport
 from .values import format_value
 
 __all__ = [
     "points_csv",
-    "polygon_csv",
-    "samples_csv",
     "points_svg",
     "chain_report_text",
     "chain_report_json",
@@ -39,14 +36,6 @@ def points_csv(points: Sequence[Tuple[Fraction, Fraction]]) -> str:
             f"{float(x)!r},{float(y)!r},{x.numerator},{x.denominator},{y.numerator},{y.denominator}"
         )
     return "\n".join(lines) + "\n"
-
-
-def polygon_csv(F: PLConvexFn) -> str:
-    return points_csv(F.nodes)
-
-
-def samples_csv(samples: Sequence[Tuple[Fraction, Fraction]]) -> str:
-    return points_csv(samples)
 
 
 def points_svg(

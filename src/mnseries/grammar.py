@@ -23,21 +23,15 @@ from typing import List, Optional, Tuple
 from .domains import CoefficientDomain, PadicDigits, XPoly
 from .errors import ParseError
 from .series import Mode, Series
-from .values import INF, Infinity, Value
+from .values import INF, Infinity, Value, format_value
 
-__all__ = ["parse_series", "format_series", "format_rational", "series_variable"]
+__all__ = ["parse_series", "format_series", "series_variable"]
 
 _TOKEN_RE = re.compile(r"\s*(\d+|[A-Za-z]+|[+*^{}()/])")
 
 
 def series_variable(mode: Mode) -> str:
     return "t" if mode is Mode.FORMAL else "p"
-
-
-def format_rational(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
 
 
 class _Tokenizer:
@@ -223,7 +217,7 @@ def _format_xpoly(a: XPoly, parenthesize: bool) -> str:
         if e == 0:
             parts.append(str(c))
         else:
-            xp = "x" if e == 1 else f"x^{{{format_rational(e)}}}"
+            xp = "x" if e == 1 else f"x^{{{format_value(e)}}}"
             parts.append(xp if c == 1 else f"{c}*{xp}")
     body = " + ".join(parts)
     if parenthesize and len(parts) > 1:
@@ -251,13 +245,13 @@ def format_series(f: Series) -> str:
         if e == 0:
             parts.append(_format_coefficient(f.domain, a, parenthesize=False))
             continue
-        vp = var if e == 1 else f"{var}^{{{format_rational(e)}}}"
+        vp = var if e == 1 else f"{var}^{{{format_value(e)}}}"
         if _coefficient_is_one(f.domain, a):
             parts.append(vp)
         else:
             parts.append(f"{_format_coefficient(f.domain, a, parenthesize=True)}*{vp}")
     if not isinstance(f.prec, Infinity):
-        parts.append(f"O({var}^{{{format_rational(f.prec)}}})")
+        parts.append(f"O({var}^{{{format_value(f.prec)}}})")
     if not parts:
         return "0"
     return " + ".join(parts)

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, List, Tuple
 
-from .domains import CoefficientDomain, MixedPoly, PadicDigits, PerfectPoly
+from .domains import CoefficientDomain, PadicDigits, PerfectPoly
 from .errors import ModeMismatchError, PrecisionLossError, ZeroSeriesError
 from .values import INF, Infinity, Value, as_exponent, as_gauss_param
 
@@ -46,7 +47,7 @@ class Mode(enum.Enum):
     ARITHMETIC = "arithmetic"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class CarryTrace:
     """Provenance of a product: which factor index pairs fed each output index.
 
@@ -55,9 +56,27 @@ class CarryTrace:
     (possibly through carrying) to the output index ``k``.  In Formal mode
     ``k = i + j`` always; in Arithmetic mode ``k`` ranges over the output
     support positions of the coset of ``i + j`` at or above ``i + j``.
+    Only the supports are stored; the entries are derived when first read.
     """
 
-    entries: Tuple[Tuple[Fraction, Fraction, Fraction], ...]
+    left: Tuple[Fraction, ...]
+    right: Tuple[Fraction, ...]
+    product: Tuple[Fraction, ...]
+    prec: Value
+    carried: bool
+
+    @cached_property
+    def entries(self) -> Tuple[Tuple[Fraction, Fraction, Fraction], ...]:
+        out = []
+        for i in self.left:
+            for j in self.right:
+                lo = i + j
+                if lo >= self.prec:
+                    continue
+                for k in self.product if self.carried else (lo,):
+                    if k >= lo and (k - lo).denominator == 1:
+                        out.append((i, j, k))
+        return tuple(out)
 
     def contributors_to(self, k: Fraction) -> Tuple[Tuple[Fraction, Fraction], ...]:
         return tuple((i, j) for i, j, kk in self.entries if kk == k)
@@ -167,29 +186,10 @@ def mul(f: Series, g: Series) -> Tuple[Series, CarryTrace]:
     _check_compatible(f, g)
     prec = min(f.prec + g.order_bound(), g.prec + f.order_bound())
     dom = f.domain
-    conv: dict = {}
-    pairs: List[Tuple[Fraction, Fraction]] = []
-    for i, a in f.terms:
-        for j, b in g.terms:
-            k = i + j
-            if k >= prec:
-                continue
-            pairs.append((i, j))
-            c = dom.mul(a, b)
-            conv[k] = dom.add(conv[k], c) if k in conv else c
-    raw = Series.make(dom, f.mode, conv.items(), prec, raw=True)
-    if f.mode is Mode.FORMAL:
-        entries = tuple((i, j, i + j) for i, j in pairs)
-        return raw, CarryTrace(entries)
-    result = canonicalize(raw)
-    out_support = result.support
-    entries_list = []
-    for i, j in pairs:
-        lo = i + j
-        for k in out_support:
-            if k >= lo and (k - lo).denominator == 1:
-                entries_list.append((i, j, k))
-    return result, CarryTrace(tuple(entries_list))
+    terms = [(i + j, dom.mul(a, b)) for i, a in f.terms for j, b in g.terms if i + j < prec]
+    result = Series.make(dom, f.mode, terms, prec)
+    carried = f.mode is Mode.ARITHMETIC
+    return result, CarryTrace(f.support, g.support, result.support, prec, carried)
 
 
 def _base_p_digits(n: int, p: int) -> List[int]:
@@ -204,57 +204,39 @@ def canonicalize(f: Series) -> Series:
     """Rewrite an Arithmetic-mode series in canonical digit form.
 
     The support is grouped by coset ``gamma + Z`` with ``gamma`` in [0, 1);
-    each coset sum ``sum_n a_(gamma+n) p^n`` is evaluated exactly and
-    re-expanded base p, so every surviving digit is a reduced digit and the
-    representation is unique.  A digit that would land at offset >= N
+    for each x-exponent ``e`` (a p-adic digit is the ``x^0`` monomial) the
+    coset sum ``sum_n c_(gamma+n, e) p^n`` is evaluated as one exact integer
+    and re-expanded base p, so every surviving digit is a reduced digit and
+    the representation is unique.  A digit that would land at offset >= N
     within its coset (but below the precision frontier) cannot be
     represented modulo p^N and raises :class:`PrecisionLossError`.
     """
     if f.mode is not Mode.ARITHMETIC:
         raise ModeMismatchError("canonicalize applies to arithmetic-mode series")
     dom = f.domain
+    if isinstance(dom, PerfectPoly):
+        raise ModeMismatchError("arithmetic mode over a characteristic-p domain")
     p = dom.p
-    cosets: dict = {}
+    padic = isinstance(dom, PadicDigits)
+    totals: dict = {}  # (coset gamma, x-exponent) -> exact integer
     for e, a in f.terms:
-        n = int(e // 1)
-        gamma = e - n
-        cosets.setdefault(gamma, []).append((n, a))
-    out_terms: List[Tuple[Fraction, object]] = []
-    for gamma, group in cosets.items():
-        if isinstance(dom, PadicDigits):
-            total = sum(a * p**n for n, a in group)
-            for offset, d in enumerate(_base_p_digits(total, p)):
-                if d == 0:
-                    continue
-                k = gamma + offset
-                if k >= f.prec:
-                    continue
-                if offset >= dom.N:
-                    raise PrecisionLossError(
-                        f"carry reached p^{offset} at index {k}, beyond the p^{dom.N} modulus"
-                    )
-                out_terms.append((k, d))
-        elif isinstance(dom, MixedPoly):
-            acc: dict = {}
-            for n, a in group:
-                for xe, c in a.monomials:
-                    acc[xe] = acc.get(xe, 0) + c * p**n
-            digit_polys: dict = {}
-            for xe, total in acc.items():
-                for offset, d in enumerate(_base_p_digits(total, p)):
-                    if d:
-                        digit_polys.setdefault(offset, []).append((xe, d))
-            for offset, monos in digit_polys.items():
-                k = gamma + offset
-                if k >= f.prec:
-                    continue
-                if offset >= dom.N:
-                    raise PrecisionLossError(
-                        f"carry reached p^{offset} at index {k}, beyond the p^{dom.N} modulus"
-                    )
-                out_terms.append((k, dom.poly(monos)))
-        else:  # pragma: no cover - construction forbids it
-            raise ModeMismatchError("arithmetic mode over a characteristic-p domain")
+        n = e.numerator // e.denominator
+        for xe, c in ((0, a),) if padic else a.monomials:
+            key = (e - n, xe)
+            totals[key] = totals.get(key, 0) + c * p**n
+    digits: dict = {}  # output index -> [(x-exponent, digit)]
+    for (gamma, xe), total in totals.items():
+        for offset, d in enumerate(_base_p_digits(total, p)):
+            k = gamma + offset
+            if d == 0 or k >= f.prec:
+                continue
+            if offset >= dom.N:
+                raise PrecisionLossError(
+                    f"digit at index {k} sits at offset {offset} within its coset "
+                    f"{gamma} + Z, beyond the p^{dom.N} modulus"
+                )
+            digits.setdefault(k, []).append((xe, d))
+    out_terms = [(k, monos[0][1] if padic else dom.poly(monos)) for k, monos in digits.items()]
     return Series.make(dom, Mode.ARITHMETIC, out_terms, f.prec, raw=True)
 
 

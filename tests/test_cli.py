@@ -87,6 +87,95 @@ def test_mul_json_trace(capsys):
     assert {"i": "0", "j": "0", "k": "0"} in payload["trace"]
 
 
+# stdout of `mul --format json`, recorded before the carry trace became lazy
+MUL_JSON_PADIC = """{
+  "product": "1 + p^{2} + p^{5/2}",
+  "trace": [
+    {
+      "i": "0",
+      "j": "0",
+      "k": "0"
+    },
+    {
+      "i": "0",
+      "j": "0",
+      "k": "2"
+    },
+    {
+      "i": "0",
+      "j": "1/2",
+      "k": "5/2"
+    },
+    {
+      "i": "0",
+      "j": "1",
+      "k": "2"
+    },
+    {
+      "i": "1/2",
+      "j": "0",
+      "k": "5/2"
+    },
+    {
+      "i": "1/2",
+      "j": "1/2",
+      "k": "2"
+    },
+    {
+      "i": "1/2",
+      "j": "1",
+      "k": "5/2"
+    }
+  ]
+}
+"""
+
+MUL_JSON_MIXED = """{
+  "product": "x + (1 + x + x^{2})*p^{1/2} + (1 + x)*p",
+  "trace": [
+    {
+      "i": "0",
+      "j": "0",
+      "k": "0"
+    },
+    {
+      "i": "0",
+      "j": "0",
+      "k": "1"
+    },
+    {
+      "i": "0",
+      "j": "1/2",
+      "k": "1/2"
+    },
+    {
+      "i": "1/2",
+      "j": "0",
+      "k": "1/2"
+    },
+    {
+      "i": "1/2",
+      "j": "1/2",
+      "k": "1"
+    }
+  ]
+}
+"""
+
+
+def test_mul_json_bytes_padic_and_mixed(capsys):
+    code, out, _ = run(
+        capsys, "mul", "1 + p^{1/2}", "3 + p^{1/2}", "--mode", "arithmetic",
+        "--domain", "padic", "--format", "json",
+    )
+    assert code == 0 and out == MUL_JSON_PADIC
+    code, out, _ = run(
+        capsys, "mul", "(1 + x)*p^{1/2} + 1", "x + p^{1/2}", "--mode", "arithmetic",
+        "--domain", "mixed", "--format", "json",
+    )
+    assert code == 0 and out == MUL_JSON_MIXED
+
+
 def test_canon(capsys):
     code, out, _ = run(
         capsys, "canon", "3*p^{1/2} + 1", "--mode", "arithmetic", "--domain", "padic"
@@ -165,3 +254,24 @@ def test_plot_leg_csv_deterministic(capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     assert out1.splitlines()[0] == "x,y,num_x,den_x,num_y,den_y"
+
+
+def test_usage_errors_exit_1_and_help_exits_0(capsys):
+    code, out, err = run(capsys, "gauss", "x*t", "--s", "1/0")
+    assert code == 1 and out == "" and "not a rational" in err
+    code, _, err = run(capsys, "mul", "1")  # missing operand
+    assert code == 1 and "required" in err
+    code, _, _ = run(capsys)  # no command
+    assert code == 1
+    code, out, _ = run(capsys, "--help")
+    assert code == 0 and out.startswith("usage: mnseries")
+    code, out, _ = run(capsys, "mul", "--help")
+    assert code == 0 and out.startswith("usage: mnseries mul")
+
+
+def test_composite_p_exits_1(capsys):
+    code, out, err = run(capsys, "gauss", "x*t", "--s", "1", "--p", "6")
+    assert code == 1 and out == ""
+    assert err == "error: p must be a prime, got 6\n"
+    code, _, err = run(capsys, "chain", "--mu", "1/2", "--p", "6")
+    assert code == 1 and "prime" in err

@@ -120,3 +120,16 @@ def test_reduction_is_ring_homomorphism():
         b = dom.poly([(Q(rng.randrange(0, 9), 3), rng.randrange(1, 9)) for _ in range(2)])
         assert dom.reduce_mod_p(dom.add(a, b)) == res.add(dom.reduce_mod_p(a), dom.reduce_mod_p(b))
         assert dom.reduce_mod_p(dom.mul(a, b)) == res.mul(dom.reduce_mod_p(a), dom.reduce_mod_p(b))
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, 6, 9])
+def test_non_prime_p_rejected_in_every_domain(p):
+    for make in (PerfectPoly, PadicDigits, MixedPoly):
+        with pytest.raises(DomainError, match="prime"):
+            make(p)
+
+
+def test_prime_p_accepted_in_every_domain():
+    for p in (2, 3, 5, 7, 97):
+        for make in (PerfectPoly, PadicDigits, MixedPoly):
+            assert make(p).p == p

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from mnseries import (
     INF,
+    MixedPoly,
     Mode,
     ModeMismatchError,
     PadicDigits,
@@ -182,6 +183,63 @@ def test_mul_carry_trace_points_into_cosets():
         assert trace.contributors_to(k)
 
 
+def eager_trace_entries(f, g, prod):
+    """Reference trace, built eagerly pair by pair as ``mul`` once did."""
+    prec = min(f.prec + g.order_bound(), g.prec + f.order_bound())
+    pairs = [(i, j) for i in f.support for j in g.support if i + j < prec]
+    if f.mode is Mode.FORMAL:
+        return tuple((i, j, i + j) for i, j in pairs)
+    entries = []
+    for i, j in pairs:
+        lo = i + j
+        for k in prod.support:
+            if k >= lo and (k - lo).denominator == 1:
+                entries.append((i, j, k))
+    return tuple(entries)
+
+
+def _random_factor(rng, dom, mode):
+    denominators = (1, dom.p, dom.p**2)
+    terms = []
+    for _ in range(rng.randrange(0, 6)):
+        e = Q(rng.randrange(0, 10), rng.choice(denominators))
+        if isinstance(dom, PadicDigits):
+            coeff = rng.randrange(1, 50)
+        else:
+            xe = Q(rng.randrange(0, 4), rng.choice(denominators))
+            coeff = dom.x_power(xe, rng.randrange(1, 50))
+        terms.append((e, coeff))
+    prec = Q(rng.randrange(4, 12), rng.choice(denominators)) if rng.random() < 0.3 else INF
+    return Series.make(dom, mode, terms, prec)
+
+
+@pytest.mark.parametrize(
+    "dom,mode",
+    [
+        (PerfectPoly(3, "p-power"), Mode.FORMAL),
+        (PadicDigits(2), Mode.ARITHMETIC),
+        (PadicDigits(3), Mode.ARITHMETIC),
+        (MixedPoly(2, 32, "p-power"), Mode.ARITHMETIC),
+    ],
+)
+def test_derived_trace_matches_eager_reference(dom, mode):
+    rng = random.Random(f"trace:{dom.kind}:{dom.p}")
+    for _ in range(60):
+        f, g = _random_factor(rng, dom, mode), _random_factor(rng, dom, mode)
+        prod, trace = mul(f, g)
+        assert "entries" not in vars(trace)  # mul itself builds no entries
+        expected = eager_trace_entries(f, g, prod)
+        assert trace.entries == expected
+        assert trace.entries is trace.entries  # derived once, then kept
+        outside = max(prod.support, default=Q(0)) + Q(1, 7)
+        for k in prod.support + (outside,):
+            assert trace.contributors_to(k) == tuple((i, j) for i, j, kk in expected if kk == k)
+        if prod.support:
+            top = prod.support[-1]
+            below = {(i, j) for i, j, kk in expected if kk <= top}
+            assert trace.pairs_up_to(top) == tuple(sorted(below))
+
+
 # --- canonicalize ---------------------------------------------------------
 
 
@@ -234,6 +292,26 @@ def test_precision_loss_raises():
     # the same carry beyond the frontier is absorbed instead
     h = Series.make(dom, Mode.ARITHMETIC, [(Q(2), 2)], prec=Q(3), raw=True)
     assert canonicalize(h).is_zero
+
+
+def test_precision_loss_message_names_index_offset_and_modulus():
+    # nothing carries here: the literal digit itself sits at offset 40 >= 32
+    with pytest.raises(PrecisionLossError) as exc:
+        Series.make(P2, Mode.ARITHMETIC, [(Q(40), 1)])
+    assert str(exc.value) == (
+        "digit at index 40 sits at offset 40 within its coset 0 + Z, beyond the p^32 modulus"
+    )
+    # 2*p^{5/2} carries to p^{7/2}: offset 3 in the coset 1/2 + Z
+    for dom, coeff in ((PadicDigits(2, 3), 2), (MixedPoly(2, 3), MixedPoly(2, 3).x_power(1, 2))):
+        with pytest.raises(PrecisionLossError, match=r"^digit at index 7/2 sits at offset 3 "
+                           r"within its coset 1/2 \+ Z, beyond the p\^3 modulus$"):
+            Series.make(dom, Mode.ARITHMETIC, [(Q(5, 2), coeff)])
+
+
+def test_canonicalize_rejects_characteristic_p_domain():
+    f = Series(P3F, Mode.ARITHMETIC, ((Q(0), P3F.one()),), INF)  # bypasses make's guard
+    with pytest.raises(ModeMismatchError, match="characteristic-p"):
+        canonicalize(f)
 
 
 # --- gauss_valuation / argnorm -------------------------------------------

@@ -20,6 +20,7 @@ All randomness is seeded (default 0) and reports are byte-stable.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -189,49 +190,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _polygon_text(nodes) -> str:
-    lines = [f"node x={format_value(x)} y={format_value(y)}" for x, y in nodes]
-    return "\n".join(lines) + "\n"
+def _emit_points(args, points, keys: Tuple[str, str], labels: Tuple[str, str],
+                 prefix: str = "", footer: Sequence[str] = ()) -> int:
+    """Write (x, y) points in ``args.format``: text lines ``key=value``,
+    csv, an svg with axis ``labels``, or a json list of ``keys`` objects."""
+    if args.format == "csv":
+        text = points_csv(points)
+    elif args.format == "svg":
+        text = points_svg(points, *labels)
+    elif args.format == "json":
+        payload = [dict(zip(keys, map(format_value, point))) for point in points]
+        text = json.dumps(payload, indent=2) + "\n"
+    else:
+        lines = [prefix + " ".join(f"{k}={format_value(v)}" for k, v in zip(keys, point))
+                 for point in points]
+        text = "\n".join(lines + list(footer)) + "\n"
+    _emit(text, args.out)
+    return 0
 
 
 def _cmd_np(args) -> int:
-    f = _parse(args, args.series)
-    poly = newton_polygon(f)
-    if args.format == "csv":
-        _emit(points_csv(poly.nodes), args.out)
-    elif args.format == "svg":
-        _emit(points_svg(poly.nodes, "exponent", "valuation"), args.out)
-    elif args.format == "json":
-        import json
-
-        payload = [{"x": format_value(x), "y": format_value(y)} for x, y in poly.nodes]
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        _emit(_polygon_text(poly.nodes), args.out)
-    return 0
-
-
-def _leg_samples(args) -> List[Tuple[Fraction, Fraction]]:
-    f = _parse(args, args.series)
-    poly = newton_polygon(f)
-    return [(s, legendre_eval(poly, s)) for s in _require_s(args)]
+    poly = newton_polygon(_parse(args, args.series))
+    return _emit_points(args, poly.nodes, ("x", "y"), ("exponent", "valuation"), prefix="node ")
 
 
 def _cmd_leg(args) -> int:
-    samples = _leg_samples(args)
-    if args.format == "csv":
-        _emit(points_csv(samples), args.out)
-    elif args.format == "svg":
-        _emit(points_svg(samples, "s", "legendre"), args.out)
-    elif args.format == "json":
-        import json
-
-        payload = [{"s": format_value(s), "value": format_value(v)} for s, v in samples]
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        lines = [f"s={format_value(s)} value={format_value(v)}" for s, v in samples]
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    poly = newton_polygon(_parse(args, args.series))
+    samples = [(s, legendre_eval(poly, s)) for s in _require_s(args)]
+    return _emit_points(args, samples, ("s", "value"), ("s", "legendre"))
 
 
 def _cmd_gauss(args) -> int:
@@ -257,8 +243,6 @@ def _cmd_binop(args) -> int:
         return 0
     result, trace = mul(f, g)
     if args.format == "json":
-        import json
-
         payload = {
             "product": format_series(result),
             "trace": [
@@ -315,13 +299,9 @@ def _cmd_chain(args) -> int:
 
 def _cmd_example_sup(args) -> int:
     values, limit = supremum_example(args.s, args.depth)
-    if args.format == "csv":
-        _emit(points_csv([(Fraction(n + 1), v) for n, v in enumerate(values)]), args.out)
-        return 0
-    lines = [f"n={n + 1} value={format_value(v)}" for n, v in enumerate(values)]
-    lines.append(f"limit={format_value(limit)}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    points = [(Fraction(n + 1), v) for n, v in enumerate(values)]
+    return _emit_points(args, points, ("n", "value"), ("n", "value"),
+                        footer=[f"limit={format_value(limit)}"])
 
 
 def _cmd_verify(args) -> int:
@@ -339,12 +319,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_plot(args) -> int:
     if args.what == "chain":
-        if not args.mu:
-            raise MNSeriesError("plot chain needs --mu exponents")
-        report = chain_report(args.mu, depth=args.depth,
-                              domain=PerfectPoly(args.p, "p-power"))
-        _emit(chain_report_json(report), args.out)
-        return 0
+        args.format = "json"
+        return _cmd_chain(args)
     if args.series is None:
         raise MNSeriesError(f"plot {args.what} needs a series literal")
     if args.what == "np":

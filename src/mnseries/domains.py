@@ -17,6 +17,12 @@ base valuations):
   over monomials; on a reduced digit it collapses to the x-adic valuation
   of the mod-p reduction, independent of s.
 
+The valuations, digit predicates and the reduction mod p have one
+implementation, the mixed-characteristic one above: F_p is Z/p^1, so
+:class:`PerfectPoly` is the case N = 1, and a p-adic digit ``a`` is the
+single monomial ``a * x^0``.  Each domain only says how to read its
+coefficients as (x-exponent, integer) monomials.
+
 Coefficients are plain ``int`` for :class:`PadicDigits` and immutable
 :class:`XPoly` values for the polynomial domains.  All domain values and
 operations are immutable and pure.
@@ -90,15 +96,81 @@ def _p_power_denominator(den: int, p: int) -> bool:
     return den == 1
 
 
-class _PolyDomain:
-    """Shared machinery for the two polynomial coefficient domains."""
+_X0 = Fraction(0)  # the x-exponent of a p-adic digit
 
+
+class _Domain:
+    """What the three domains share: coefficients modulo ``p^N``, read
+    through :meth:`monomials` as (x-exponent, integer) pairs.
+
+    The parameter checks, the modulus and the six valuation, digit and
+    reduction methods are written once here, with the mixed-characteristic
+    formulas.  F_p is Z/p^1, so :class:`PerfectPoly` is the case N = 1, and
+    a p-adic digit is the x^0 monomial.  Every public method validates its
+    coefficient first; :meth:`monomials` only reads.
+    """
+
+    __slots__ = ()
     p: int
+    N: int
     denominators: str  # 'p-power' | 'any'
+
+    def __post_init__(self):
+        _check_prime(self.p)
+        if self.N < 1:
+            raise DomainError(f"precision N must be positive, got {self.N}")
+        if self.denominators not in ("p-power", "any"):
+            raise DomainError(f"unknown denominator policy {self.denominators!r}")
 
     @property
     def modulus(self) -> int:
-        raise NotImplementedError
+        return self.p**self.N
+
+    def coeff_valuation(self, a) -> Value:
+        """x-adic valuation of the mod-p reduction; +oo if that reduction is zero."""
+        self.validate(a)
+        for e, c in self.monomials(a):
+            if c % self.p:
+                return e
+        return INF
+
+    def base_valuation_at(self, a, s) -> Value:
+        """min over monomials of s * ord_p(c_e) + e."""
+        self.validate(a)
+        p = self.p
+        return min(
+            (e if c % p else Fraction(s) * ordp(c, p) + e for e, c in self.monomials(a)),
+            default=INF,
+        )
+
+    def is_canonical_digit(self, a) -> bool:
+        """True when p does not divide the coefficient (some monomial survives mod p)."""
+        self.validate(a)
+        return any(c % self.p for _, c in self.monomials(a))
+
+    def is_reduced_digit(self, a) -> bool:
+        """Strict digit of the base-p expansion: every monomial coefficient in [1, p-1]."""
+        self.validate(a)
+        monos = self.monomials(a)
+        return bool(monos) and all(0 < c < self.p for _, c in monos)
+
+    @property
+    def residue_domain(self) -> "PerfectPoly":
+        return PerfectPoly(self.p, self.denominators)
+
+    def reduce_mod_p(self, a) -> XPoly:
+        """The image in the residue domain, whose modulus is p."""
+        self.validate(a)
+        return self.residue_domain.poly(self.monomials(a))
+
+
+class _PolyDomain(_Domain):
+    """Shared machinery for the two polynomial coefficient domains."""
+
+    __slots__ = ()
+
+    def monomials(self, a: XPoly) -> Tuple[Tuple[Fraction, int], ...]:
+        return a.monomials
 
     def _check_exponent(self, e: Fraction) -> Fraction:
         e = as_exponent(e)
@@ -163,65 +235,27 @@ class PerfectPoly(_PolyDomain):
 
     p: int
     denominators: str = "any"
-
-    def __post_init__(self):
-        _check_prime(self.p)
-        if self.denominators not in ("p-power", "any"):
-            raise DomainError(f"unknown denominator policy {self.denominators!r}")
-
-    @property
-    def modulus(self) -> int:
-        return self.p
+    N = 1  # F_p = Z/p^1
 
     @property
     def kind(self) -> str:
         return "perfect"
 
-    def coeff_valuation(self, a: XPoly) -> Value:
-        """Minimum exponent of a nonzero monomial; +oo for the zero coefficient."""
-        self.validate(a)
-        if a.is_zero:
-            return INF
-        return a.monomials[0][0]
-
-    def base_valuation_at(self, a: XPoly, s) -> Value:
-        # characteristic p: the family is constant in s
-        return self.coeff_valuation(a)
-
-    def is_canonical_digit(self, a: XPoly) -> bool:
-        # p annihilates everything here, so "p does not divide a" means "a != 0"
-        return not self.validate(a).is_zero
-
-    def is_reduced_digit(self, a: XPoly) -> bool:
-        return self.is_canonical_digit(a)
-
-    @property
-    def residue_domain(self) -> "PerfectPoly":
-        return self
-
-    def reduce_mod_p(self, a: XPoly) -> XPoly:
-        return self.validate(a)
-
 
 @dataclass(frozen=True, slots=True)
-class PadicDigits:
+class PadicDigits(_Domain):
     """Integers modulo p^N as working-precision p-adic digits."""
 
     p: int
     N: int = 32
-
-    def __post_init__(self):
-        _check_prime(self.p)
-        if self.N < 1:
-            raise DomainError(f"precision N must be positive, got {self.N}")
-
-    @property
-    def modulus(self) -> int:
-        return self.p**self.N
+    denominators = "any"  # a digit has the single x-exponent 0
 
     @property
     def kind(self) -> str:
         return "padic"
+
+    def monomials(self, a: int) -> Tuple[Tuple[Fraction, int], ...]:
+        return ((_X0, a),) if a else ()
 
     def zero(self) -> int:
         return 0
@@ -254,36 +288,6 @@ class PadicDigits:
             raise DomainError(f"cannot coerce {type(a).__name__} into p-adic digits")
         return a % self.modulus
 
-    def coeff_valuation(self, a: int) -> Value:
-        """0 on digits not divisible by p; +oo when the mod-p reduction vanishes."""
-        self.validate(a)
-        if a % self.p != 0:
-            return Fraction(0)
-        return INF
-
-    def base_valuation_at(self, a: int, s) -> Value:
-        self.validate(a)
-        if a == 0:
-            return INF
-        return Fraction(s) * ordp(a, self.p)
-
-    def is_canonical_digit(self, a: int) -> bool:
-        self.validate(a)
-        return a != 0 and a % self.p != 0
-
-    def is_reduced_digit(self, a: int) -> bool:
-        """Digit of the unique base-p expansion: in [1, p-1]."""
-        self.validate(a)
-        return 0 < a < self.p
-
-    @property
-    def residue_domain(self) -> PerfectPoly:
-        return PerfectPoly(self.p)
-
-    def reduce_mod_p(self, a: int) -> XPoly:
-        self.validate(a)
-        return self.residue_domain.from_int(a % self.p)
-
 
 @dataclass(frozen=True, slots=True)
 class MixedPoly(_PolyDomain):
@@ -293,57 +297,9 @@ class MixedPoly(_PolyDomain):
     N: int = 32
     denominators: str = "any"
 
-    def __post_init__(self):
-        _check_prime(self.p)
-        if self.N < 1:
-            raise DomainError(f"precision N must be positive, got {self.N}")
-        if self.denominators not in ("p-power", "any"):
-            raise DomainError(f"unknown denominator policy {self.denominators!r}")
-
-    @property
-    def modulus(self) -> int:
-        return self.p**self.N
-
     @property
     def kind(self) -> str:
         return "mixed"
-
-    def coeff_valuation(self, a: XPoly) -> Value:
-        """x-adic valuation of the mod-p reduction; +oo if that reduction is zero."""
-        self.validate(a)
-        for e, c in a.monomials:
-            if c % self.p != 0:
-                return e
-        return INF
-
-    def base_valuation_at(self, a: XPoly, s) -> Value:
-        """min over monomials of s * ord_p(c_e) + e."""
-        self.validate(a)
-        s = Fraction(s)
-        best: Value = INF
-        for e, c in a.monomials:
-            v = s * ordp(c, self.p) + e
-            if v < best:
-                best = v
-        return best
-
-    def is_canonical_digit(self, a: XPoly) -> bool:
-        """True when p does not divide the coefficient (some monomial survives mod p)."""
-        self.validate(a)
-        return any(c % self.p != 0 for _, c in a.monomials)
-
-    def is_reduced_digit(self, a: XPoly) -> bool:
-        """Strict digit of the base-p expansion: every monomial coefficient in [1, p-1]."""
-        self.validate(a)
-        return bool(a.monomials) and all(0 < c < self.p for _, c in a.monomials)
-
-    @property
-    def residue_domain(self) -> PerfectPoly:
-        return PerfectPoly(self.p, self.denominators)
-
-    def reduce_mod_p(self, a: XPoly) -> XPoly:
-        self.validate(a)
-        return self.residue_domain.poly([(e, c % self.p) for e, c in a.monomials])
 
 
 CoefficientDomain = Union[PerfectPoly, PadicDigits, MixedPoly]

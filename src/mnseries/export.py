@@ -42,10 +42,9 @@ def points_svg(
     points: Sequence[Tuple[Fraction, Fraction]],
     x_label: str = "x",
     y_label: str = "y",
-    width: int = 640,
-    height: int = 480,
 ) -> str:
     """Static SVG 1.1 polyline through the given points with axis labels."""
+    width, height = 640, 480
     pts = [(float(x), float(y)) for x, y in points]
     if not pts:
         raise ValueError("nothing to plot")

@@ -86,9 +86,6 @@ class PLConvexFn:
                 return y1 + (y2 - y1) * (x - x1) / (x2 - x1)
         raise AssertionError("unreachable")  # pragma: no cover
 
-    def legendre(self, s) -> Fraction:
-        return legendre_eval(self, s)
-
     def translate(self, dx, dy) -> "PLConvexFn":
         dx, dy = Fraction(dx), Fraction(dy)
         return PLConvexFn(tuple((x + dx, y + dy) for x, y in self.nodes))

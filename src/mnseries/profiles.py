@@ -29,7 +29,6 @@ from .domains import CoefficientDomain, PadicDigits, PerfectPoly
 from .errors import MNSeriesError
 from .polygon import legendre_eval, newton_polygon
 from .series import Mode, Series
-from .values import as_gauss_param
 
 __all__ = [
     "RationalInterval",
@@ -179,16 +178,14 @@ class AsymptoticClass:
     """Comparison verdict of two power laws as s -> 0."""
 
     verdict: str  # 'omega' | 'theta' | 'o'
-    in_O_sup: bool
-    in_omega_sup: bool
 
-    def __post_init__(self):
-        if self.verdict == "omega" and self.in_O_sup:
-            raise ValueError("omega excludes O^sup")
-        if self.verdict == "o" and not self.in_O_sup:
-            raise ValueError("o implies O^sup")
-        if self.verdict == "theta" and (not self.in_O_sup or self.in_omega_sup):
-            raise ValueError("theta implies O^sup and excludes omega^sup")
+    @property
+    def in_O_sup(self) -> bool:
+        return self.verdict != "omega"
+
+    @property
+    def in_omega_sup(self) -> bool:
+        return self.verdict == "omega"
 
 
 def classify(F: PowerLaw, G: PowerLaw) -> AsymptoticClass:
@@ -199,10 +196,10 @@ def classify(F: PowerLaw, G: PowerLaw) -> AsymptoticClass:
     exponents agree (theta), and to zero when aF > aG (o).
     """
     if F.exponent < G.exponent:
-        return AsymptoticClass("omega", in_O_sup=False, in_omega_sup=True)
+        return AsymptoticClass("omega")
     if F.exponent == G.exponent:
-        return AsymptoticClass("theta", in_O_sup=True, in_omega_sup=False)
-    return AsymptoticClass("o", in_O_sup=True, in_omega_sup=False)
+        return AsymptoticClass("theta")
+    return AsymptoticClass("o")
 
 
 def _index_parts(i) -> Tuple[int, int]:
@@ -213,13 +210,16 @@ def _index_parts(i) -> Tuple[int, int]:
     return n, d
 
 
+GUARD_BITS = 12  # digit precision beyond the o(G) deviation bound, in bits
+
+
 @dataclass(frozen=True, slots=True)
 class ProfileElement:
     """Closed-form element whose polygon tracks ``c * i^(-r)`` for indices i >= 1.
 
     The digit rule places ``x^(q_i)`` at index i, with q_i the nearest
     point of the p-power exponent lattice at a scale fine enough that
-    ``|q_i - c i^(-r)| <= c i^(-r) / (2^guard_bits * 2 i^2)``; this sits
+    ``|q_i - c i^(-r)| <= c i^(-r) / (2^GUARD_BITS * 2 i^2)``; this sits
     far inside the required o(G) deviation ``G(i)/i`` while keeping all
     denominators powers of p.  The index may be any rational i >= 1, such
     as the points ``n / p^j`` of a refined lattice (see :func:`materialize`);
@@ -229,7 +229,6 @@ class ProfileElement:
     domain: CoefficientDomain
     c: Fraction
     r: Fraction
-    guard_bits: int = 12
 
     def __post_init__(self):
         if isinstance(self.domain, PadicDigits):
@@ -240,11 +239,11 @@ class ProfileElement:
             raise ValueError("profile decay rate must be positive")
 
     @classmethod
-    def for_exponent(cls, mu, domain: CoefficientDomain, guard_bits: int = 12) -> "ProfileElement":
+    def for_exponent(cls, mu, domain: CoefficientDomain) -> "ProfileElement":
         """Profile normalized so the exact Legendre transform is s^mu."""
         c, r = inverse_legendre_power(mu)
         c_rat = c if isinstance(c, Fraction) else c.midpoint
-        return cls(domain, c_rat, r, guard_bits)
+        return cls(domain, c_rat, r)
 
     @property
     def mu(self) -> Fraction:
@@ -258,7 +257,7 @@ class ProfileElement:
         u, v = self.c.numerator, self.c.denominator
         # minimal k with p^-k <= tau / (2^guard * i^2), tau = c i^-r, i = n/d:
         #   (v * n^2 * 2^guard)^b * n^a <= u^b * d^(2b+a) * p^(k b)
-        lhs = (v * n * n * (1 << self.guard_bits)) ** b * n**a
+        lhs = (v * n * n * (1 << GUARD_BITS)) ** b * n**a
         rhs = u**b * d ** (2 * b + a)
         step = p**b
         k = 0
@@ -352,7 +351,7 @@ def legendre_power_law(profile: ProfileElement) -> PowerLaw:
     return PowerLaw(k, mu)
 
 
-def _default_deviation_rule(i: int, target: Fraction) -> Fraction:
+def _deviation_bound(i: int, target: Fraction) -> Fraction:
     # o(G) for any power-law target: the 1/i^2 branch wins for slow decay,
     # the G/i branch for fast decay
     return min(target / i, Fraction(1, i * i))
@@ -379,19 +378,18 @@ class ApproxCertificate:
 def discretely_approximate(
     targets: Sequence[Tuple[int, Fraction]],
     domain: CoefficientDomain,
-    deviation_rule: Optional[Callable[[int, Fraction], Fraction]] = None,
 ) -> Tuple[Series, ApproxCertificate]:
     """Realize convex nonincreasing target nodes as a Newton polygon.
 
     Each node (i, G(i)) receives the nearest lattice exponent q_i of
-    minimal denominator p^k satisfying ``|q_i - G(i)| <= rule(i)``.  The
+    minimal denominator p^k satisfying
+    ``|q_i - G(i)| <= min(G(i)/i, 1/i^2)``, which is o(G).  The
     certificate lists achieved node deviations and secant-slope deviations.
     Increasing or non-convex targets are rejected with the violating
     triple.
     """
     if isinstance(domain, PadicDigits):
         raise ValueError("discrete approximation needs a polynomial coefficient domain")
-    rule = deviation_rule or _default_deviation_rule
     nodes = [(int(i), Fraction(g)) for i, g in targets]
     if not nodes:
         raise ValueError("need at least one target node")
@@ -414,7 +412,7 @@ def discretely_approximate(
     deviations: List[Fraction] = []
     bounds: List[Fraction] = []
     for i, g in nodes:
-        bound = rule(i, g)
+        bound = _deviation_bound(i, g)
         k = 0
         while True:
             pk = p**k
@@ -448,7 +446,7 @@ def in_m(f: Series) -> bool:
     return all(f.domain.coeff_valuation(a) > 0 for _, a in f.terms)
 
 
-DEFAULT_RATIO_GRID: Tuple[Fraction, ...] = tuple(Fraction(1, 2**k) for k in range(4, 11))
+RATIO_GRID: Tuple[Fraction, ...] = tuple(Fraction(1, 2**k) for k in range(4, 11))
 
 
 @dataclass(frozen=True, slots=True)
@@ -480,7 +478,6 @@ def chain_report(
     mu_grid: Sequence,
     depth: int = 128,
     domain: Optional[CoefficientDomain] = None,
-    s_grid: Sequence = DEFAULT_RATIO_GRID,
 ) -> ChainReport:
     """Separation witnesses for every pair of exponents in a strictly
     increasing grid inside (0, 1).
@@ -488,7 +485,8 @@ def chain_report(
     For mu < lam the Legendre class of the mu-profile must be omega of
     ``s^lam`` and outside O^sup of it: an exact exponent comparison.  Each
     profile is also materialized at the requested depth to confirm ideal
-    membership and to sample the Legendre ratio of the realized polygon.
+    membership and to sample the Legendre ratio of the realized polygon
+    at s = 2^-4, ..., 2^-10.
     """
     grid = [Fraction(m) for m in mu_grid]
     if any(not 0 < m < 1 for m in grid):
@@ -504,7 +502,7 @@ def chain_report(
     for idx, m in enumerate(grid):
         for lam in grid[idx + 1 :]:
             cls = classify(laws[m], PowerLaw(Fraction(1), lam))
-            separated = cls.verdict == "omega" and not cls.in_O_sup
+            separated = cls.verdict == "omega"
             pairs.append((m, lam, cls.verdict, separated))
 
     membership = []
@@ -515,8 +513,7 @@ def chain_report(
         poly = newton_polygon(mat)
         c_norm = float(laws[m].coeff)
         rows = []
-        for s in s_grid:
-            s = as_gauss_param(s)
+        for s in RATIO_GRID:
             value = float(legendre_eval(poly, s))
             rows.append((s, value / (c_norm * float(s) ** float(m))))
         ratios.append((m, tuple(rows)))

@@ -209,7 +209,8 @@ def canonicalize(f: Series) -> Series:
     and re-expanded base p, so every surviving digit is a reduced digit and
     the representation is unique.  A digit that would land at offset >= N
     within its coset (but below the precision frontier) cannot be
-    represented modulo p^N and raises :class:`PrecisionLossError`.
+    represented modulo p^N and raises :class:`PrecisionLossError`, naming
+    the lowest such index (on a tie, the smallest x-exponent).
     """
     if f.mode is not Mode.ARITHMETIC:
         raise ModeMismatchError("canonicalize applies to arithmetic-mode series")
@@ -221,21 +222,26 @@ def canonicalize(f: Series) -> Series:
     totals: dict = {}  # (coset gamma, x-exponent) -> exact integer
     for e, a in f.terms:
         n = e.numerator // e.denominator
-        for xe, c in ((0, a),) if padic else a.monomials:
+        for xe, c in dom.monomials(a):
             key = (e - n, xe)
             totals[key] = totals.get(key, 0) + c * p**n
     digits: dict = {}  # output index -> [(x-exponent, digit)]
+    lost = []  # unrepresentable digits: (index, x-exponent, offset, coset)
     for (gamma, xe), total in totals.items():
         for offset, d in enumerate(_base_p_digits(total, p)):
             k = gamma + offset
             if d == 0 or k >= f.prec:
                 continue
             if offset >= dom.N:
-                raise PrecisionLossError(
-                    f"digit at index {k} sits at offset {offset} within its coset "
-                    f"{gamma} + Z, beyond the p^{dom.N} modulus"
-                )
+                lost.append((k, xe, offset, gamma))  # the lowest one of its coset
+                break
             digits.setdefault(k, []).append((xe, d))
+    if lost:
+        k, _, offset, gamma = min(lost)
+        raise PrecisionLossError(
+            f"digit at index {k} sits at offset {offset} within its coset "
+            f"{gamma} + Z, beyond the p^{dom.N} modulus"
+        )
     out_terms = [(k, monos[0][1] if padic else dom.poly(monos)) for k, monos in digits.items()]
     return Series.make(dom, Mode.ARITHMETIC, out_terms, f.prec, raw=True)
 

@@ -247,6 +247,13 @@ def test_plot_chain_json(tmp_path, capsys):
     assert payload["all_in_ideal"] is True
 
 
+def test_plot_chain_prints_chain_json(capsys):
+    argv = ["--mu", "1/4", "--mu", "1/2", "--depth", "8", "--p", "3"]
+    code, plotted, _ = run(capsys, "plot", "chain", *argv)
+    assert code == 0
+    assert plotted == run(capsys, "chain", *argv, "--format", "json")[1]
+
+
 def test_plot_leg_csv_deterministic(capsys):
     args = ["plot", "leg", "x^{2} + x*t + t^{2}", "--p", "3", "--s", "1/2", "--s", "2"]
     code1, out1, _ = run(capsys, *args)

@@ -133,3 +133,67 @@ def test_prime_p_accepted_in_every_domain():
     for p in (2, 3, 5, 7, 97):
         for make in (PerfectPoly, PadicDigits, MixedPoly):
             assert make(p).p == p
+
+
+# --- one implementation against the per-domain formulas it replaced --------
+
+S_VALUES = (Q(0), Q(1, 3), Q(2))
+
+
+def _shared(dom, a, s):
+    return (dom.coeff_valuation(a), dom.base_valuation_at(a, s), dom.is_canonical_digit(a),
+            dom.is_reduced_digit(a), dom.reduce_mod_p(a), dom.residue_domain)
+
+
+def _perfect_reference(dom, a, s):
+    """x-adic: the smallest exponent for every s; p annihilates every coefficient."""
+    v = a.monomials[0][0] if a.monomials else INF
+    return (v, v, not a.is_zero, not a.is_zero, a, dom)
+
+
+def _padic_reference(dom, a, s):
+    """0 or +oo by the residue mod p, s * ord_p(a), and the residue as a constant."""
+    res = PerfectPoly(dom.p)
+    return (Q(0) if a % dom.p else INF, INF if a == 0 else s * ordp(a, dom.p),
+            a % dom.p != 0, 0 < a < dom.p, res.from_int(a % dom.p), res)
+
+
+def _rand_poly(rng, dom):
+    dens = [dom.p**k for k in range(3)] if dom.denominators == "p-power" else [1, 2, 3, 5, 6]
+    return dom.poly([(Q(rng.randrange(0, 12), rng.choice(dens)), rng.randrange(1, dom.modulus))
+                     for _ in range(rng.randrange(0, 4))])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("denominators", ["p-power", "any"])
+def test_perfect_poly_keeps_its_own_formulas(p, denominators):
+    rng = random.Random(p)
+    dom = PerfectPoly(p, denominators)
+    for _ in range(60):
+        a = _rand_poly(rng, dom)
+        for s in S_VALUES:
+            assert _shared(dom, a, s) == _perfect_reference(dom, a, s)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_padic_digits_keep_their_own_formulas(p):
+    rng = random.Random(p)
+    dom = PadicDigits(p, 4)
+    digits = [0, 1, p - 1, p, p * p, dom.modulus - 1]
+    digits += [rng.randrange(dom.modulus) for _ in range(40)]
+    digits += [p * rng.randrange(dom.modulus // p) for _ in range(20)]
+    for a in digits:
+        for s in S_VALUES:
+            assert _shared(dom, a, s) == _padic_reference(dom, a, s)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("denominators", ["p-power", "any"])
+def test_perfect_poly_is_mixed_poly_at_precision_one(p, denominators):
+    rng = random.Random(10 + p)
+    perfect, mixed = PerfectPoly(p, denominators), MixedPoly(p, 1, denominators)
+    assert perfect.modulus == mixed.modulus == p
+    for _ in range(60):
+        a = _rand_poly(rng, perfect)
+        for s in S_VALUES:
+            assert _shared(perfect, a, s) == _shared(mixed, a, s)

@@ -308,6 +308,18 @@ def test_precision_loss_message_names_index_offset_and_modulus():
             Series.make(dom, Mode.ARITHMETIC, [(Q(5, 2), coeff)])
 
 
+@pytest.mark.parametrize("dom", [PadicDigits(2, 2), MixedPoly(2, 2)])
+def test_precision_loss_names_the_lowest_overflowing_digit(dom):
+    # coset 1/2 + Z sums to 3 + 3*2 = 1001_2, whose top digit lands at index 7/2;
+    # coset 0 + Z sums to 3*2 = 110_2, whose top digit lands at the lower index 2
+    three = dom.coerce(3) if isinstance(dom, PadicDigits) else dom.x_power(1, 3)
+    f = Series.make(dom, Mode.ARITHMETIC, [(Q(1, 2), three), (Q(1), three), (Q(3, 2), three)],
+                    raw=True)
+    with pytest.raises(PrecisionLossError, match=r"^digit at index 2 sits at offset 2 "
+                       r"within its coset 0 \+ Z, beyond the p\^2 modulus$"):
+        canonicalize(f)
+
+
 def test_canonicalize_rejects_characteristic_p_domain():
     f = Series(P3F, Mode.ARITHMETIC, ((Q(0), P3F.one()),), INF)  # bypasses make's guard
     with pytest.raises(ModeMismatchError, match="characteristic-p"):

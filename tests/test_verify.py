@@ -1,5 +1,9 @@
 """Property-suite runner: coverage, determinism, report format."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from mnseries import format_report, run_all, run_suite, suite_names
@@ -56,3 +60,12 @@ def test_suite_names_cover_invariant_families():
         "roundtrip",
     }
     assert expected <= names
+
+
+def test_reports_match_the_recorded_digests():
+    """Every suite's 15-case, seed-0 report keeps the bytes recorded for the benchmark."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "verify_digests.json"
+    digests = json.loads(path.read_text(encoding="utf-8"))
+    for name in suite_names():
+        report = format_report([run_suite(name, 15, 0)])
+        assert hashlib.sha256(report.encode("utf-8")).hexdigest() == digests[name]["15"][0], name

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 from typing import Iterable, Tuple, Union
 
@@ -91,9 +92,14 @@ def _check_prime(p: int) -> None:
 
 
 def _p_power_denominator(den: int, p: int) -> bool:
-    while den % p == 0:
-        den //= p
-    return den == 1
+    """True when ``den >= 1`` is a power of the prime p.
+
+    Such a power p^k has k < bit_length(den), so den is one exactly when it
+    divides p^bit_length(den); for p = 2 it is the single-bit test.
+    """
+    if p == 2:
+        return den & (den - 1) == 0
+    return pow(p, den.bit_length(), den) == 0
 
 
 _X0 = Fraction(0)  # the x-exponent of a p-adic digit
@@ -138,10 +144,14 @@ class _Domain:
         """min over monomials of s * ord_p(c_e) + e."""
         self.validate(a)
         p = self.p
-        return min(
-            (e if c % p else Fraction(s) * ordp(c, p) + e for e, c in self.monomials(a)),
-            default=INF,
-        )
+        values = []
+        for e, c in self.monomials(a):
+            if c % p:
+                values.append(e)
+            else:
+                v = Fraction(s) * ordp(c, p)
+                values.append(v + e if e else v)  # a p-adic digit sits at e = 0
+        return min(values, default=INF)
 
     def is_canonical_digit(self, a) -> bool:
         """True when p does not divide the coefficient (some monomial survives mod p)."""
@@ -156,7 +166,7 @@ class _Domain:
 
     @property
     def residue_domain(self) -> "PerfectPoly":
-        return PerfectPoly(self.p, self.denominators)
+        return _residue_domain(self.p, self.denominators)
 
     def reduce_mod_p(self, a) -> XPoly:
         """The image in the residue domain, whose modulus is p."""
@@ -198,7 +208,10 @@ class _PolyDomain(_Domain):
         return self.poly([(Fraction(0), n)])
 
     def x_power(self, e, c: int = 1) -> XPoly:
-        return self.poly([(Fraction(e), c)])
+        """The monomial ``c * x^e``: what :meth:`poly` gives for one term."""
+        e = self._check_exponent(e)
+        c = int(c) % self.modulus
+        return XPoly(((e, c),) if c else ())
 
     def is_zero(self, a: XPoly) -> bool:
         return a.is_zero
@@ -303,3 +316,9 @@ class MixedPoly(_PolyDomain):
 
 
 CoefficientDomain = Union[PerfectPoly, PadicDigits, MixedPoly]
+
+
+@lru_cache(maxsize=None)
+def _residue_domain(p: int, denominators: str) -> PerfectPoly:
+    """F_p with the denominator policy of its lift, built once per (p, policy)."""
+    return PerfectPoly(p, denominators)

@@ -12,8 +12,10 @@ and multiplicative on sample grids.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Callable, List, Sequence, Tuple
 
 from .errors import ZeroSeriesError
@@ -47,19 +49,18 @@ class PLConvexFn:
     def __post_init__(self):
         if not self.nodes:
             raise ValueError("a polygon needs at least one node")
-        xs = [x for x, _ in self.nodes]
-        ys = [y for _, y in self.nodes]
+        xs, ys = _integer_coordinates(self.nodes)
         if any(x < 0 for x in xs):
             raise ValueError("node abscissae must be nonnegative")
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise ValueError("node abscissae must be strictly increasing")
         if any(b > a for a, b in zip(ys, ys[1:])):
             raise ValueError("node ordinates must be nonincreasing")
-        slopes = [
-            (y2 - y1) / (x2 - x1)
-            for (x1, y1), (x2, y2) in zip(self.nodes, self.nodes[1:])
-        ]
-        if any(s2 < s1 for s1, s2 in zip(slopes, slopes[1:])):
+        # a falling slope, (y3-y2)/(x3-x2) < (y2-y1)/(x2-x1), cleared of the positive x gaps
+        if any(
+            (y3 - y2) * (x2 - x1) < (y2 - y1) * (x3 - x2)
+            for x1, x2, x3, y1, y2, y3 in zip(xs, xs[1:], xs[2:], ys, ys[1:], ys[2:])
+        ):
             raise ValueError("slopes must be nondecreasing (convexity)")
 
     @property
@@ -91,29 +92,49 @@ class PLConvexFn:
         return PLConvexFn(tuple((x + dx, y + dy) for x, y in self.nodes))
 
 
+def _integer_coordinates(points) -> Tuple[List[int], List[int]]:
+    """Rational coordinates scaled to integers by one common denominator per axis.
+
+    Scaling an axis by a positive constant keeps every order, equality and
+    cross-product sign, so hull and convexity tests can run on the integers.
+    """
+    xr = [x.as_integer_ratio() for x, _ in points]
+    yr = [y.as_integer_ratio() for _, y in points]
+    dx = lcm(*(d for _, d in xr))
+    dy = lcm(*(d for _, d in yr))
+    return [n * (dx // d) for n, d in xr], [n * (dy // d) for n, d in yr]
+
+
 def lower_hull(points: Sequence[Tuple[Fraction, Fraction]]) -> PLConvexFn:
     """Nonincreasing lower convex hull of finite points with rational coords.
 
     Takes the running-minimum envelope left to right, then a monotone-chain
-    lower hull; collinear interior points are dropped.
+    lower hull; collinear interior points are dropped.  Both passes run on
+    integer coordinates (see :func:`_integer_coordinates`), O(n log n) for
+    the sort and O(n) after it, and the nodes are the original points.
     """
     if not points:
         raise ValueError("need at least one point")
-    pts = sorted(points)
-    enveloped: List[Tuple[Fraction, Fraction]] = []
-    running = None
-    for x, y in pts:
-        running = y if running is None else min(running, y)
-        if enveloped and enveloped[-1][0] == x:
-            enveloped[-1] = (x, running)
+    xs, ys = _integer_coordinates(points)
+    # (X, Y, x, y): the scaled abscissa and running-minimum ordinate, and the
+    # original coordinates they stand for
+    enveloped: List[Tuple[int, int, Fraction, Fraction]] = []
+    for X, Y, k in sorted(zip(xs, ys, range(len(points)))):
+        x, y = points[k]
+        if enveloped and enveloped[-1][1] <= Y:
+            Y, y = enveloped[-1][1], enveloped[-1][3]
+        if enveloped and enveloped[-1][0] == X:
+            enveloped[-1] = (X, Y, x, y)
         else:
-            enveloped.append((x, running))
-    hull: List[Tuple[Fraction, Fraction]] = []
+            enveloped.append((X, Y, x, y))
+    hull: List[Tuple[int, int, Fraction, Fraction]] = []
     for pt in enveloped:
+        X, Y = pt[0], pt[1]
         while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            X1, Y1 = hull[-2][0], hull[-2][1]
+            X2, Y2 = hull[-1][0], hull[-1][1]
             # drop the middle point when it sits on or above the chord
-            if (y2 - y1) * (pt[0] - x1) >= (pt[1] - y1) * (x2 - x1):
+            if (Y2 - Y1) * (X - X1) >= (Y - Y1) * (X2 - X1):
                 hull.pop()
             else:
                 break
@@ -121,7 +142,7 @@ def lower_hull(points: Sequence[Tuple[Fraction, Fraction]]) -> PLConvexFn:
     # a trailing constant stretch collapses onto its first node
     while len(hull) >= 2 and hull[-1][1] == hull[-2][1]:
         hull.pop()
-    return PLConvexFn(tuple(hull))
+    return PLConvexFn(tuple((x, y) for _, _, x, y in hull))
 
 
 def newton_polygon(f: Series) -> PLConvexFn:
@@ -147,9 +168,20 @@ def legendre_eval(F: PLConvexFn, s) -> Fraction:
 
     The infimum of a convex piecewise-linear function plus a nonnegative
     linear term is attained at a hull node, so a node minimum is exact.
+    Along the nodes, ``y + s*x`` moves by ``(x' - x) * (slope + s)`` from
+    one node to the next; the slopes never fall, so once a step is >= 0
+    every later one is, and the minimum sits at the first node whose next
+    step is >= 0: a binary search, O(log n) per s.
     """
     s = as_gauss_param(s)
-    return min(y + s * x for x, y in F.nodes)
+    nodes = F.nodes
+    k = bisect_left(
+        range(len(nodes) - 1),
+        True,
+        key=lambda j: (nodes[j + 1][1] - nodes[j][1]) + s * (nodes[j + 1][0] - nodes[j][0]) >= 0,
+    )
+    x, y = nodes[k]
+    return y + s * x
 
 
 def tropical_min(F: Callable[[Fraction], Value], G: Callable[[Fraction], Value]):

@@ -25,10 +25,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
-from .domains import CoefficientDomain, PadicDigits, PerfectPoly
+from .domains import CoefficientDomain, PadicDigits, PerfectPoly, _p_power_denominator
 from .errors import MNSeriesError
 from .polygon import legendre_eval, newton_polygon
-from .series import Mode, Series
+from .series import Mode, Series, canonicalize
 
 __all__ = [
     "RationalInterval",
@@ -60,12 +60,22 @@ class TargetError(MNSeriesError):
 
 
 def iroot(n: int, value: int) -> int:
-    """Floor of the integer n-th root of a nonnegative integer."""
+    """Floor of the integer n-th root of a nonnegative integer.
+
+    Newton's iteration, exact in integers, from any start at or above the
+    root.  Below 2^1000 the start is the float root raised by 2^-40
+    relative, far beyond its rounding error (under 1e-13 relative), so the
+    iteration converges quadratically from its first step; above, the
+    start is the next power of two.
+    """
     if value < 0:
         raise ValueError("iroot of a negative number")
     if value == 0:
         return 0
-    x = 1 << ((value.bit_length() + n - 1) // n)
+    if value.bit_length() <= 1000:
+        x = int(float(value) ** (1 / n) * (1 + 2**-40)) + 1
+    else:
+        x = 1 << ((value.bit_length() + n - 1) // n)
     while True:
         y = ((n - 1) * x + value // x ** (n - 1)) // n
         if y >= x:
@@ -260,7 +270,10 @@ class ProfileElement:
         lhs = (v * n * n * (1 << GUARD_BITS)) ** b * n**a
         rhs = u**b * d ** (2 * b + a)
         step = p**b
-        k = 0
+        # start at or below the minimal k: unless clipped to 0, every k' <= k has
+        #   rhs * step^k' < 2^(bits(rhs) + k' bits(step)) <= 2^(bits(lhs) - 1) <= lhs
+        k = max(0, (lhs.bit_length() - rhs.bit_length() - 1) // step.bit_length())
+        rhs *= step**k
         while rhs < lhs:
             rhs *= step
             k += 1
@@ -296,10 +309,7 @@ def deviation_within_bound(profile: ProfileElement, i, q: Fraction) -> bool:
 def _steps_per_unit(step, p: int) -> int:
     """p^j for an index step 1/p^j; any other step is rejected."""
     h = Fraction(step)
-    rest = h.denominator
-    while rest % p == 0:
-        rest //= p
-    if h.numerator != 1 or rest != 1:
+    if h.numerator != 1 or not _p_power_denominator(h.denominator, p):
         raise ValueError(f"index step must be 1/p^j with p = {p}, got {h}")
     return h.denominator
 
@@ -322,6 +332,12 @@ def materialize(profile: ProfileElement, up_to: int, step=1) -> Series:
     minimum at both; a ratio within [0.95, 1.05] then needs q_1 in
     [0.0215, 0.0303] at s = 2^-4 and in [0.0145, 0.0194] at s = 2^-5,
     which are disjoint.
+
+    Each digit is built once, by ``x_power``, which checks its exponent
+    against the domain's lattice; the indices increase and every digit is
+    nonzero, so the terms are already in series form and skip
+    ``Series.make``.  A ``MixedPoly`` profile is canonicalized once.
+    O(up_to / h) digits, each O(1) big-integer operations in their size.
     """
     if up_to < 1:
         raise ValueError("materialization depth must be at least 1")
@@ -329,8 +345,9 @@ def materialize(profile: ProfileElement, up_to: int, step=1) -> Series:
     per_unit = _steps_per_unit(step, dom.p)
     mode = Mode.FORMAL if isinstance(dom, PerfectPoly) else Mode.ARITHMETIC
     indices = (Fraction(n, per_unit) for n in range(per_unit, per_unit * up_to + 1))
-    terms = [(i, dom.x_power(profile.digit_exponent(i))) for i in indices]
-    return Series.make(dom, mode, terms, prec=Fraction(up_to + 1))
+    terms = tuple((i, dom.x_power(profile.digit_exponent(i))) for i in indices)
+    series = Series(dom, mode, terms, Fraction(up_to + 1))
+    return canonicalize(series) if mode is Mode.ARITHMETIC else series
 
 
 def legendre_power_law(profile: ProfileElement) -> PowerLaw:

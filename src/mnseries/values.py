@@ -66,8 +66,8 @@ def is_finite(v: Value) -> bool:
 
 def as_exponent(x) -> Fraction:
     """Coerce to a nonnegative exact rational exponent."""
-    e = Fraction(x)
-    if e < 0:
+    e = x if type(x) is Fraction else Fraction(x)
+    if e.numerator < 0:  # the denominator is positive
         raise ValueError(f"exponents must be nonnegative, got {e}")
     return e
 

@@ -6,6 +6,7 @@ from fractions import Fraction as Q
 import pytest
 
 from mnseries import INF, DomainError, MixedPoly, PadicDigits, PerfectPoly, ordp
+from mnseries.domains import _p_power_denominator
 
 
 def test_ordp():
@@ -197,3 +198,48 @@ def test_perfect_poly_is_mixed_poly_at_precision_one(p, denominators):
         a = _rand_poly(rng, perfect)
         for s in S_VALUES:
             assert _shared(perfect, a, s) == _shared(mixed, a, s)
+
+
+def _reference_p_power_denominator(den, p):
+    """The division loop the bit test and the modular power replaced."""
+    while den % p == 0:
+        den //= p
+    return den == 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_p_power_denominator_matches_division_loop(p):
+    rng = random.Random(p)
+    dens = [1] + [p**k for k in range(1, 201)]
+    cofactors = [m for m in range(2, 60) if m % p] + [rng.randrange(2, 10**30) for _ in range(20)]
+    dens += [p**k * m for k in range(0, 201, 7) for m in cofactors]
+    dens += [p**k + 1 for k in range(1, 201, 11)] + [p**k - 1 for k in range(2, 201, 11)]
+    for den in dens:
+        assert _p_power_denominator(den, p) == _reference_p_power_denominator(den, p), den
+
+
+@pytest.mark.parametrize("dom", [PerfectPoly(3), PerfectPoly(2, "p-power"), MixedPoly(5, 3),
+                                 MixedPoly(3, 2, "p-power")])
+def test_x_power_is_the_one_term_poly(dom):
+    for e in (0, 2, Q(1, 3), Q(5, 4), Q(7, 9), Q(3, 25), "1/2"):
+        for c in (1, -1, 2, dom.p, dom.modulus, dom.modulus + 1, 10**40 + 3):
+            try:
+                expected = dom.poly([(Q(e), c)])
+            except DomainError:
+                with pytest.raises(DomainError):
+                    dom.x_power(e, c)
+                continue
+            assert dom.x_power(e, c) == expected
+    for bad in (-1, Q(-1, 2)):
+        with pytest.raises(ValueError):
+            dom.x_power(bad)
+
+
+def test_residue_domain_built_once_per_prime_and_policy():
+    for p in (2, 3, 5):
+        for policy in ("p-power", "any"):
+            doms = [PerfectPoly(p, policy), MixedPoly(p, 4, policy), MixedPoly(p, 9, policy)]
+            assert all(d.residue_domain is doms[0].residue_domain for d in doms)
+            assert doms[0].residue_domain == PerfectPoly(p, policy)
+        assert PadicDigits(p).residue_domain is PadicDigits(p, 3).residue_domain
+        assert PadicDigits(p).residue_domain == PerfectPoly(p)

@@ -225,3 +225,107 @@ def test_hull_translation_equivariance(raw_pts, dy):
     F = lower_hull(pts)
     G = lower_hull([(x, y + dy) for x, y in pts])
     assert G.nodes == tuple((x, y + dy) for x, y in F.nodes)
+
+
+# --- integer-coordinate hull and binary-search Legendre against the scans --
+
+
+def reference_lower_hull(points):
+    """The Fraction-coordinate hull the integer version replaced, kept as the reference."""
+    pts = sorted(points)
+    enveloped = []
+    running = None
+    for x, y in pts:
+        running = y if running is None else min(running, y)
+        if enveloped and enveloped[-1][0] == x:
+            enveloped[-1] = (x, running)
+        else:
+            enveloped.append((x, running))
+    hull = []
+    for pt in enveloped:
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            if (y2 - y1) * (pt[0] - x1) >= (pt[1] - y1) * (x2 - x1):
+                hull.pop()
+            else:
+                break
+        hull.append(pt)
+    while len(hull) >= 2 and hull[-1][1] == hull[-2][1]:
+        hull.pop()
+    return tuple(hull)
+
+
+def reference_legendre_eval(F, s):
+    """Minimum of y + s*x over every node: the scan the binary search replaced."""
+    return min(y + Q(s) * x for x, y in F.nodes)
+
+
+def _seeded_point_sets():
+    rng = random.Random(606)
+    dens = (1, 2, 3, 4, 8, 9, 1024)
+    for _ in range(150):  # mixed-denominator Fractions, with duplicate x
+        n = rng.randrange(1, 12)
+        xs = [Q(rng.randrange(0, 40), rng.choice(dens)) for _ in range(n)]
+        xs += rng.sample(xs, rng.randrange(0, n + 1))
+        yield [(x, Q(rng.randrange(0, 60), rng.choice(dens))) for x in xs]
+    for _ in range(50):  # int coordinates
+        yield [(rng.randrange(0, 20), rng.randrange(0, 20)) for _ in range(rng.randrange(1, 10))]
+    for _ in range(50):  # collinear runs joined at corners, then a constant tail
+        pts, x, y = [], Q(rng.randrange(0, 3)), Q(40)
+        for _ in range(rng.randrange(1, 4)):
+            slope = -Q(rng.randrange(1, 9), rng.choice(dens))
+            for _ in range(rng.randrange(2, 5)):
+                pts.append((x, y))
+                dx = Q(rng.randrange(1, 4), rng.choice((1, 2)))
+                x, y = x + dx, y + slope * dx
+        pts += [(x + j, y) for j in range(rng.randrange(0, 4))]
+        rng.shuffle(pts)
+        yield pts
+    yield [(Q(3, 2), Q(7, 3))]  # a single node
+    yield [(Q(1), Q(2)), (Q(1), Q(2)), (Q(1), Q(5))]  # one point, repeated
+    # equal values of both types: a node keeps the ordinate that first set the minimum
+    yield [(Q(1), Q(2)), (1, 2), (Q(3), 1), (3, Q(1)), (Q(5), 0)]
+
+
+def test_integer_hull_matches_fraction_reference():
+    for pts in _seeded_point_sets():
+        F = lower_hull(pts)
+        assert F.nodes == reference_lower_hull(pts)
+        # the nodes are the input coordinates themselves, not rebuilt values
+        assert [tuple(map(type, node)) for node in F.nodes] == [
+            tuple(map(type, node)) for node in reference_lower_hull(pts)
+        ]
+
+
+def test_binary_search_legendre_matches_node_scan():
+    rng = random.Random(607)
+    for pts in _seeded_point_sets():
+        F = lower_hull(pts)
+        steepest = max((-(y2 - y1) / (x2 - x1) for (x1, y1), (x2, y2) in zip(F.nodes, F.nodes[1:])),
+                       default=Q(0))
+        grid = [Q(0), steepest, steepest + 1, 1000 * steepest + 7]
+        grid += [Q(rng.randrange(0, 50), rng.choice((1, 2, 3, 7, 64))) for _ in range(8)]
+        for (x1, y1), (x2, y2) in zip(F.nodes, F.nodes[1:]):
+            grid.append(-(y2 - y1) / (x2 - x1))  # s equal to an edge's negated slope
+        for s in grid:
+            assert legendre_eval(F, s) == reference_legendre_eval(F, s)
+
+
+def test_plconvexfn_equal_slopes_accepted_concave_rejected():
+    # equal consecutive slopes (a collinear node) are convex
+    F = PLConvexFn(((Q(0), Q(4)), (Q(1), Q(3)), (Q(3), Q(1)), (Q(5), Q(1, 2))))
+    assert legendre_eval(F, Q(1)) == reference_legendre_eval(F, Q(1)) == Q(4)
+    PLConvexFn(((Q(0), Q(2)), (Q(1, 3), Q(5, 3)), (Q(2, 3), Q(4, 3))))
+    # a concave corner: the second edge steeper than the first by 3/10^9
+    PLConvexFn(((Q(0), Q(2)), (Q(1, 3), Q(5, 3)), (Q(2, 3), Q(4, 3) + Q(1, 10**9))))
+    with pytest.raises(ValueError, match="convexity"):
+        PLConvexFn(((Q(0), Q(2)), (Q(1, 3), Q(5, 3)), (Q(2, 3), Q(4, 3) - Q(1, 10**9))))
+    with pytest.raises(ValueError, match="convexity"):
+        PLConvexFn(((Q(0), Q(3)), (Q(1), Q(2)), (Q(2), Q(0))))
+    # the checks keep their order: abscissae before ordinates before slopes
+    with pytest.raises(ValueError, match="nonnegative"):
+        PLConvexFn(((Q(-1), Q(3)), (Q(1), Q(5))))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        PLConvexFn(((Q(1), Q(3)), (Q(1), Q(2)), (Q(2), Q(5))))
+    with pytest.raises(ValueError, match="nonincreasing"):
+        PLConvexFn(((Q(0), Q(3)), (Q(1), Q(2)), (Q(2), Q(5))))

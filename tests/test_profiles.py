@@ -7,10 +7,12 @@ from fractions import Fraction as Q
 import pytest
 
 from mnseries import (
+    MixedPoly,
     Mode,
     PadicDigits,
     PerfectPoly,
     PowerLaw,
+    PrecisionLossError,
     ProfileElement,
     RationalInterval,
     Series,
@@ -327,3 +329,84 @@ def test_supremum_example_delta_constraint():
         supremum_example(2, 5)  # default delta violates delta_n < 1/(n*s)
     values, limit = supremum_example(2, 5, delta=lambda n: Q(1, 4 * n))
     assert limit == 5 and all(v > 5 for v in values)
+
+
+# --- materialize builds each digit once: same series as the Series.make path ---
+
+
+def reference_iroot(n, value):
+    """Newton's iteration from the next power of two: the start the float start replaced."""
+    if value == 0:
+        return 0
+    x = 1 << ((value.bit_length() + n - 1) // n)
+    while True:
+        y = ((n - 1) * x + value // x ** (n - 1)) // n
+        if y >= x:
+            return x
+        x = y
+
+
+def reference_digit_exponent(profile, i):
+    """The digit rule with k counted up from 0, as before the bit-length start."""
+    i = Q(i)
+    n, d = i.numerator, i.denominator
+    p = profile.domain.p
+    a, b = profile.r.numerator, profile.r.denominator
+    u, v = profile.c.numerator, profile.c.denominator
+    lhs = (v * n * n * (1 << 12)) ** b * n**a
+    rhs = u**b * d ** (2 * b + a)
+    k = 0
+    while rhs < lhs:
+        rhs *= p**b
+        k += 1
+    pk = p**k
+    P, Qb = (u * pk) ** b * d**a, v**b * n**a
+    m = reference_iroot(b, P // Qb)
+    if (2 * m + 1) ** b * Qb <= (1 << b) * P:
+        m += 1
+    return Q(m, pk)
+
+
+def reference_materialize(profile, up_to, step):
+    """Every digit through x_power -> poly, then Series.make, as before."""
+    dom = profile.domain
+    mode = Mode.FORMAL if isinstance(dom, PerfectPoly) else Mode.ARITHMETIC
+    per_unit = Q(step).denominator
+    terms = []
+    for n in range(per_unit, per_unit * up_to + 1):
+        i = Q(n, per_unit)
+        terms.append((i, dom.poly([(reference_digit_exponent(profile, i), 1)])))
+    return Series.make(dom, mode, terms, prec=Q(up_to + 1))
+
+
+def test_iroot_matches_power_of_two_start():
+    rng = random.Random(71)
+    values = [rng.getrandbits(rng.randrange(1, 1100)) for _ in range(3000)]
+    values += [2**1000 - 1, 2**1000, 2**1000 + 1, 2**999, 10**301]
+    for n in range(1, 17):
+        for x in (1, 2, 3, 10, 2**20 - 1, 2**33 + 5, 3**40, 2**(1000 // n)):
+            values += [x**n - 1, x**n, x**n + 1]
+    for idx, value in enumerate(values):
+        for n in (1 + idx % 16, 1 + (idx * 7) % 16):
+            root = iroot(n, value)
+            assert root == reference_iroot(n, value), (n, value)
+            assert root**n <= value < (root + 1) ** n
+
+
+@pytest.mark.parametrize("dom", [P2, PerfectPoly(3, "p-power"), MixedPoly(2, 32, "p-power"),
+                                 MixedPoly(3, 8)])
+def test_materialize_matches_series_make_construction(dom):
+    # an arithmetic-mode profile carries into offset N at depth N (both paths raise)
+    depth = 48 if isinstance(dom, PerfectPoly) else dom.N - 1
+    for mu in (Q(1, 16), Q(1, 3), Q(1, 2), Q(7, 8)):
+        profile = ProfileElement.for_exponent(mu, dom)
+        for step in (1, Q(1, dom.p**2) if dom.p == 3 else Q(1, 8)):
+            got = materialize(profile, depth, step)
+            want = reference_materialize(profile, depth, step)
+            assert got == want
+            assert got.terms == want.terms and got.prec == want.prec and got.mode is want.mode
+    if isinstance(dom, MixedPoly):
+        profile = ProfileElement.for_exponent(Q(1, 2), dom)
+        for build in (materialize, lambda prof, depth: reference_materialize(prof, depth, 1)):
+            with pytest.raises(PrecisionLossError, match=f"index {dom.N} "):
+                build(profile, dom.N)

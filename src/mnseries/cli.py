@@ -23,6 +23,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 from .domains import MixedPoly, PadicDigits, PerfectPoly
@@ -190,6 +191,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _shared_parser() -> argparse.ArgumentParser:
+    """One parser per process: parsing builds a fresh namespace and copies
+    each ``append`` default before extending it, so calls share no state."""
+    return build_parser()
+
+
 def _emit_points(args, points, keys: Tuple[str, str], labels: Tuple[str, str],
                  prefix: str = "", footer: Sequence[str] = ()) -> int:
     """Write (x, y) points in ``args.format``: text lines ``key=value``,
@@ -345,7 +353,7 @@ _HANDLERS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
         return 1 if exc.code else 0
     try:

@@ -193,9 +193,10 @@ class _PolyDomain(_Domain):
     def poly(self, terms: Iterable[Tuple[Fraction, int]]) -> XPoly:
         """Build a coefficient from (exponent, integer) pairs, reducing mod the modulus."""
         acc: dict = {}
+        modulus = self.modulus
         for e, c in terms:
             e = self._check_exponent(Fraction(e))
-            acc[e] = (acc.get(e, 0) + int(c)) % self.modulus
+            acc[e] = (acc.get(e, 0) + int(c)) % modulus
         return XPoly(tuple(sorted((e, c) for e, c in acc.items() if c)))
 
     def zero(self) -> XPoly:
@@ -227,10 +228,11 @@ class _PolyDomain(_Domain):
     def validate(self, a) -> XPoly:
         if not isinstance(a, XPoly):
             raise DomainError(f"expected an XPoly coefficient, got {type(a).__name__}")
+        modulus = self.modulus
         for e, c in a.monomials:
             self._check_exponent(e)
-            if not (0 < c < self.modulus):
-                raise DomainError(f"monomial coefficient {c} outside [1, {self.modulus - 1}]")
+            if not (0 < c < modulus):
+                raise DomainError(f"monomial coefficient {c} outside [1, {modulus - 1}]")
         return a
 
     def coerce(self, a) -> XPoly:

@@ -20,10 +20,10 @@ membership of the materialized elements and empirical Legendre ratios.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .domains import CoefficientDomain, PadicDigits, PerfectPoly, _p_power_denominator
 from .errors import MNSeriesError
@@ -214,6 +214,8 @@ def classify(F: PowerLaw, G: PowerLaw) -> AsymptoticClass:
 
 def _index_parts(i) -> Tuple[int, int]:
     """Numerator and denominator of a rational digit index, which must be at least 1."""
+    if not isinstance(i, (int, Fraction)):
+        raise ValueError(f"digit index must be an int or a Fraction, got {i!r}")
     n, d = i.numerator, i.denominator
     if n < d:
         raise ValueError("digit indices start at 1")
@@ -221,6 +223,26 @@ def _index_parts(i) -> Tuple[int, int]:
 
 
 GUARD_BITS = 12  # digit precision beyond the o(G) deviation bound, in bits
+_LN2 = math.log(2)
+# below 2^40 a float guess of m = tau p^k (relative error about 1e-13) is
+# exact or one off, so certifying it takes a comparison or two; above, m
+# starts from iroot.  The certificate decides m either way.
+_FLOAT_GUESS_MAX = 40 * _LN2
+
+
+class _DigitRule(NamedTuple):
+    """What a profile's digit rule needs that does not depend on the index,
+    for ``c = u/v`` and ``r = a/b`` in lowest terms."""
+
+    p: int
+    a: int
+    b: int
+    ub: int  # u^b
+    vb: int  # v^b
+    step: int  # p^b
+    ln_p: float
+    ln_c: float
+    r_float: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -233,12 +255,16 @@ class ProfileElement:
     far inside the required o(G) deviation ``G(i)/i`` while keeping all
     denominators powers of p.  The index may be any rational i >= 1, such
     as the points ``n / p^j`` of a refined lattice (see :func:`materialize`);
-    the rule is the same and all arithmetic stays exact and integer-only.
+    the rule is the same and every digit is decided by exact integer
+    comparisons.  The rule's index-independent integers (``u^b``, ``v^b``,
+    ``p^b``) and logarithms are computed once, at construction, into a
+    field that takes no part in ``==``, ``hash`` or ``repr``.
     """
 
     domain: CoefficientDomain
     c: Fraction
     r: Fraction
+    _rule: _DigitRule = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if isinstance(self.domain, PadicDigits):
@@ -247,6 +273,12 @@ class ProfileElement:
             raise ValueError("profile constant must be positive")
         if not self.r > 0:
             raise ValueError("profile decay rate must be positive")
+        p = self.domain.p
+        a, b = self.r.numerator, self.r.denominator
+        u, v = self.c.numerator, self.c.denominator
+        rule = _DigitRule(p, a, b, u**b, v**b, p**b, math.log(p),
+                          math.log(u) - math.log(v), a / b)
+        object.__setattr__(self, "_rule", rule)
 
     @classmethod
     def for_exponent(cls, mu, domain: CoefficientDomain) -> "ProfileElement":
@@ -260,31 +292,42 @@ class ProfileElement:
         return self.r / (self.r + 1)
 
     def digit_exponent(self, i) -> Fraction:
-        """Lattice exponent q_i approximating ``c * i^(-r)``, all arithmetic exact."""
+        """Lattice exponent ``q_i = m / p^k`` approximating ``tau = c * i^(-r)``.
+
+        k is the least k >= 0 with ``p^-k <= tau / (2^GUARD_BITS i^2)``, and
+        m is ``tau p^k`` rounded to the nearest integer, half up.  Floats
+        only guess k and m, from logarithms of the integers (which never
+        overflow); exact integer comparisons against one quotient then move
+        each guess to the true value, so the digit is exact for every index.
+        """
         n, d = _index_parts(i)
-        p = self.domain.p
-        a, b = self.r.numerator, self.r.denominator
-        u, v = self.c.numerator, self.c.denominator
-        # minimal k with p^-k <= tau / (2^guard * i^2), tau = c i^-r, i = n/d:
-        #   (v * n^2 * 2^guard)^b * n^a <= u^b * d^(2b+a) * p^(k b)
-        lhs = (v * n * n * (1 << GUARD_BITS)) ** b * n**a
-        rhs = u**b * d ** (2 * b + a)
-        step = p**b
-        # start at or below the minimal k: unless clipped to 0, every k' <= k has
-        #   rhs * step^k' < 2^(bits(rhs) + k' bits(step)) <= 2^(bits(lhs) - 1) <= lhs
-        k = max(0, (lhs.bit_length() - rhs.bit_length() - 1) // step.bit_length())
-        rhs *= step**k
-        while rhs < lhs:
-            rhs *= step
+        p, a, b, ub, vb, step, ln_p, ln_c, r_float = self._rule
+        ln_i = math.log(n) - math.log(d)
+        # With i = n/d, (tau p^k)^b d^(2b) = rhs / Q for rhs = ub d^(2b+a) p^(kb)
+        # and Q = vb n^a.  Every test reads the one quotient W = floor(2^b rhs / Q):
+        # k is right when bound = (2^G n^2)^b <= floor(rhs / Q) = W >> b, and when
+        # k = 0 or the test fails at k - 1, whose quotient is W // p^b.
+        bound = n ** (2 * b) << (GUARD_BITS * b)
+        Q = vb * n**a
+        k = max(0, math.ceil((GUARD_BITS * _LN2 - ln_c + (2 + r_float) * ln_i) / ln_p))
+        rhs = ub * d ** (2 * b + a) * step**k
+        W = (rhs << b) // Q
+        while W >> b < bound:
             k += 1
-        # nearest integer m to tau * p^k, via (tau p^k)^b = P / Q
-        pk = p**k
-        P = (u * pk) ** b * d**a
-        Q = v**b * n**a
-        m = iroot(b, P // Q)
-        if (2 * m + 1) ** b * Q <= (1 << b) * P:
+            rhs *= step
+            W = (rhs << b) // Q
+        while k and (W >> b) // step >= bound:
+            k -= 1
+            W //= step
+        # m is the largest m with (2m - 1)^b <= floor((2 tau p^k)^b) = W // d^(2b)
+        W //= d ** (2 * b)
+        ln_m = ln_c + k * ln_p - r_float * ln_i
+        m = int(math.exp(ln_m) + 0.5) if ln_m < _FLOAT_GUESS_MAX else (iroot(b, W) + 1) // 2
+        while (2 * m + 1) ** b <= W:
             m += 1
-        return Fraction(m, pk)
+        while (2 * m - 1) ** b > W:
+            m -= 1
+        return Fraction(m, p**k)
 
 
 def deviation_within_bound(profile: ProfileElement, i, q: Fraction) -> bool:
@@ -503,7 +546,8 @@ def chain_report(
     ``s^lam`` and outside O^sup of it: an exact exponent comparison.  Each
     profile is also materialized at the requested depth to confirm ideal
     membership and to sample the Legendre ratio of the realized polygon
-    at s = 2^-4, ..., 2^-10.
+    at s = 2^-4, ..., 2^-10.  Both read the one Newton polygon, so each
+    digit's coefficient valuation is computed once.
     """
     grid = [Fraction(m) for m in mu_grid]
     if any(not 0 < m < 1 for m in grid):
@@ -525,9 +569,10 @@ def chain_report(
     membership = []
     ratios = []
     for m in grid:
-        mat = materialize(profiles[m], depth)
-        membership.append((m, in_m(mat)))
-        poly = newton_polygon(mat)
+        # one valuation per digit: the polygon's last ordinate is the least
+        # coefficient valuation, so it is positive exactly when in_m(mat) holds
+        poly = newton_polygon(materialize(profiles[m], depth))
+        membership.append((m, poly.y_last > 0))
         c_norm = float(laws[m].coeff)
         rows = []
         for s in RATIO_GRID:

@@ -282,3 +282,27 @@ def test_composite_p_exits_1(capsys):
     assert err == "error: p must be a prime, got 6\n"
     code, _, err = run(capsys, "chain", "--mu", "1/2", "--p", "6")
     assert code == 1 and "prime" in err
+
+
+def test_successive_calls_share_no_parser_state(capsys):
+    from mnseries.cli import _shared_parser
+
+    poly = "x^{2} + x*t + t^{2}"
+    assert run(capsys, "leg", poly, "--p", "3", "--s", "1/2", "--s", "2")[0] == 0
+    assert run(capsys, "leg", poly, "--p", "3", "--s", "3")[:2] == (0, "s=3 value=2\n")
+    code, out, err = run(capsys, "leg", poly, "--p", "3")
+    assert (code, out, err) == (1, "", "error: at least one --s value is required\n")
+
+    assert run(capsys, "chain", "--mu", "1/4", "--mu", "1/2", "--depth", "8")[0] == 0
+    code, out, _ = run(capsys, "chain", "--mu", "3/4", "--depth", "8", "--format", "json")
+    assert code == 0 and json.loads(out)["grid"] == ["3/4"]
+
+    assert run(capsys, "approx", "--target", "1=1", "--target", "2=1/2")[0] == 0
+    code, out, _ = run(capsys, "approx", "--target", "1=1")
+    assert code == 0 and out.endswith("series: x*t + O(t^{2})\n")
+    assert "node i=2" not in out
+
+    code, out, _ = run(capsys, "--help")
+    assert code == 0 and out.startswith("usage: mnseries")
+    assert run(capsys, "mul", "1")[0] == 1
+    assert _shared_parser() is _shared_parser()

@@ -7,6 +7,7 @@ from fractions import Fraction as Q
 import pytest
 
 from mnseries import (
+    INF,
     MixedPoly,
     Mode,
     PadicDigits,
@@ -410,3 +411,111 @@ def test_materialize_matches_series_make_construction(dom):
         for build in (materialize, lambda prof, depth: reference_materialize(prof, depth, 1)):
             with pytest.raises(PrecisionLossError, match=f"index {dom.N} "):
                 build(profile, dom.N)
+
+
+# --- the guess-and-certify digit rule gives the reference rule's digits ---
+
+MU_UNIVERSE = sorted({Q(n, d) for d in (4, 8, 12, 16) for n in range(1, d)})
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_digit_exponent_matches_reference_rule(p):
+    dom = PerfectPoly(p, "p-power")
+    h = 9 if p == 3 else 8
+    indices = list(range(1, 1025)) + [Q(n, h) for n in range(h + 1, 64 * h + 1)]
+    # around the float-guess limit for m (2^12 i^2 ~ 2^40) and far beyond float range
+    indices += [2**14 - 1, 2**14, 2**14 + 1, 10**6, 2**53 + 1, 10**30,
+                10**400, Q(10**400 + 1, 8), Q(3**700 + 1, 3**5)]
+    for mu in MU_UNIVERSE:
+        profile = ProfileElement.for_exponent(mu, dom)
+        for i in indices:
+            assert profile.digit_exponent(i) == reference_digit_exponent(profile, i), (mu, i)
+
+
+def test_digit_exponent_rounds_exact_ties_half_up():
+    # mu = 1/2: c = 1/4 and r = 1, so tau = d / (4 n) at i = n/d, and tau p^k is
+    # a half-integer at i = 2^14 / d (d odd, 13005 <= d < 2^14) for p = 2 and at
+    # i = 3^j / (2 t) (t odd, prime to 3) for p = 3
+    ties = {2: [Q(2**14, d) for d in (13005, 13007, 14001, 16383)] + [Q(2**15, 20643)],
+            3: [Q(3, 2), Q(9, 2), Q(27, 10), Q(81, 14), Q(3**9, 2)]}
+    for p, indices in ties.items():
+        profile = ProfileElement.for_exponent(Q(1, 2), PerfectPoly(p, "p-power"))
+        for i in indices:
+            tau = profile.c / i
+            k = 0
+            while tau * p**k < 2**12 * i * i:
+                k += 1
+            twice = 2 * tau * p**k
+            assert twice.denominator == 1 and twice.numerator % 2 == 1, (p, i)
+            q = profile.digit_exponent(i)
+            assert q == Q((twice.numerator + 1) // 2, p**k) == reference_digit_exponent(profile, i)
+
+
+def test_profile_identity_ignores_precomputed_rule():
+    dom = PerfectPoly(2, "p-power")
+    half = ProfileElement.for_exponent(Q(1, 2), dom)
+    assert repr(half) == (
+        "ProfileElement(domain=PerfectPoly(p=2, denominators='p-power'), "
+        "c=Fraction(1, 4), r=Fraction(1, 1))"
+    )
+    for mu in (Q(1, 2), Q(1, 8), Q(15, 16)):
+        profile = ProfileElement.for_exponent(mu, dom)
+        twin = ProfileElement(dom, profile.c, profile.r)
+        assert twin == profile and twin is not profile
+        assert hash(twin) == hash(profile) == hash((dom, profile.c, profile.r))
+        assert "_rule" not in repr(profile)
+        assert repr(profile) == (
+            f"ProfileElement(domain={dom!r}, c={profile.c!r}, r={profile.r!r})"
+        )
+    assert half != ProfileElement(PerfectPoly(3, "p-power"), half.c, half.r)
+
+
+def test_digit_index_must_be_rational():
+    profile = ProfileElement.for_exponent(Q(1, 2), P2)
+    for bad in (1.5, 2.0, "2", None):
+        with pytest.raises(ValueError, match=f"got {bad!r}"):
+            profile.digit_exponent(bad)
+        with pytest.raises(ValueError, match=f"got {bad!r}"):
+            deviation_within_bound(profile, bad, Q(1, 8))
+    assert profile.digit_exponent(2) == profile.digit_exponent(Q(2)) == Q(1, 8)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_chain_report_values_each_digit_once(p, monkeypatch):
+    dom = PerfectPoly(p, "p-power")
+    grid, depth = [Q(1, 16), Q(1, 2), Q(11, 12)], 96
+    calls = []
+    original = PerfectPoly.coeff_valuation
+
+    def counted(self, a):
+        calls.append(a)
+        return original(self, a)
+
+    monkeypatch.setattr(PerfectPoly, "coeff_valuation", counted)
+    report = chain_report(grid, depth=depth, domain=dom)
+    assert len(calls) == len(grid) * depth
+    monkeypatch.undo()
+    assert PerfectPoly.coeff_valuation is original
+    expected = [(mu, in_m(materialize(ProfileElement.for_exponent(mu, dom), depth)))
+                for mu in grid]
+    assert list(report.membership) == expected
+    assert report.all_in_ideal
+
+
+def test_polygon_last_ordinate_decides_membership():
+    # chain_report reads membership off the polygon: its last ordinate is the
+    # least finite coefficient valuation
+    rng = random.Random(5)
+    dom = MixedPoly(3, 4)
+    seen = set()
+    for _ in range(200):
+        terms = [(Q(rng.randrange(0, 40), rng.choice((1, 3, 9))),
+                  dom.poly([(Q(rng.randrange(0, 6), rng.choice((1, 3))), rng.randrange(1, 81))
+                            for _ in range(rng.randrange(1, 3))]))
+                 for _ in range(rng.randrange(1, 8))]
+        f = Series.make(dom, Mode.FORMAL, terms)
+        if f.is_zero or all(dom.coeff_valuation(a) == INF for _, a in f.terms):
+            continue
+        seen.add(in_m(f))
+        assert (newton_polygon(f).y_last > 0) == in_m(f)
+    assert seen == {True, False}

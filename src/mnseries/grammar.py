@@ -27,7 +27,8 @@ from .values import INF, Infinity, Value, format_value
 
 __all__ = ["parse_series", "format_series", "series_variable"]
 
-_TOKEN_RE = re.compile(r"\s*(\d+|[A-Za-z]+|[+*^{}()/])")
+# a token, or (second group) any other non-space character, which is an error
+_TOKEN_RE = re.compile(r"(\d+|[A-Za-z]+|[+*^{}()/])|(\S)")
 
 
 def series_variable(mode: Mode) -> str:
@@ -35,21 +36,15 @@ def series_variable(mode: Mode) -> str:
 
 
 class _Tokenizer:
+    """The literal's tokens with their start positions, read in one pass."""
+
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
         self.tokens: List[Tuple[str, int]] = []
-        while self.pos < len(text):
-            rest = text[self.pos :]
-            if not rest.strip():
-                break
-            m = _TOKEN_RE.match(text, self.pos)
-            if not m:
-                stripped = rest.lstrip()
-                at = len(text) - len(stripped)
-                raise ParseError(f"unexpected character {stripped[0]!r}", at)
-            self.tokens.append((m.group(1), m.start(1)))
-            self.pos = m.end()
+        for m in _TOKEN_RE.finditer(text):
+            if m.group(2) is not None:
+                raise ParseError(f"unexpected character {m.group(2)!r}", m.start())
+            self.tokens.append((m.group(1), m.start()))
         self.index = 0
 
     def peek(self) -> Optional[str]:
@@ -211,9 +206,14 @@ def parse_series(text: str, domain: CoefficientDomain, mode: Mode) -> Series:
     return Series.make(domain, mode, terms, prec)
 
 
-def _format_xpoly(a: XPoly, parenthesize: bool) -> str:
+_ONE = ((Fraction(0), 1),)  # the monomials of the coefficient 1
+
+
+def _format_coefficient(monomials, parenthesize: bool) -> str:
+    """A coefficient from its (x-exponent, integer) monomials; a p-adic digit
+    is the single x^0 monomial, so it prints as its integer."""
     parts = []
-    for e, c in a.monomials:
+    for e, c in monomials:
         if e == 0:
             parts.append(str(c))
         else:
@@ -225,31 +225,20 @@ def _format_xpoly(a: XPoly, parenthesize: bool) -> str:
     return body
 
 
-def _format_coefficient(domain: CoefficientDomain, a, parenthesize: bool) -> str:
-    if isinstance(domain, PadicDigits):
-        return str(a)
-    return _format_xpoly(a, parenthesize)
-
-
-def _coefficient_is_one(domain: CoefficientDomain, a) -> bool:
-    if isinstance(domain, PadicDigits):
-        return a == 1
-    return a.monomials == ((Fraction(0), 1),)
-
-
 def format_series(f: Series) -> str:
     """Canonical literal for a series; reparses to an equal series."""
     var = series_variable(f.mode)
     parts = []
     for e, a in f.terms:
+        monos = f.domain.monomials(a)
         if e == 0:
-            parts.append(_format_coefficient(f.domain, a, parenthesize=False))
+            parts.append(_format_coefficient(monos, parenthesize=False))
             continue
         vp = var if e == 1 else f"{var}^{{{format_value(e)}}}"
-        if _coefficient_is_one(f.domain, a):
+        if monos == _ONE:
             parts.append(vp)
         else:
-            parts.append(f"{_format_coefficient(f.domain, a, parenthesize=True)}*{vp}")
+            parts.append(f"{_format_coefficient(monos, parenthesize=True)}*{vp}")
     if not isinstance(f.prec, Infinity):
         parts.append(f"O({var}^{{{format_value(f.prec)}}})")
     if not parts:

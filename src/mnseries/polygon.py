@@ -225,30 +225,15 @@ class NPFReport:
         return self.commutation and self.superadditive and self.multiplicative
 
 
-def _ln(h: Series) -> Callable[[Fraction], Value]:
-    def fn(s):
-        v, exact = gauss_valuation(h, s)
-        if not exact:
-            raise ValueError("inexact Gauss valuation on the sample grid")
-        return v
-
-    return fn
-
-
-def _legendre_of_polygon(h: Series) -> Callable[[Fraction], Value]:
-    if h.is_zero:
-        return lambda s: INF
-    F = newton_polygon(h)
-    return lambda s: legendre_eval(F, s)
-
-
 def verify_npf(f: Series, g: Series, s_grid: Sequence) -> NPFReport:
     """Check diagram commutation, superadditivity and multiplicativity.
 
     For h in {f, g, f+g, fg} the Legendre transform of the polygon must
     reproduce the Gauss valuation at every grid point; the valuation map
     must satisfy ``min(v(f), v(g)) <= v(f+g)`` and ``v(f) + v(g) = v(fg)``.
-    Failures are recorded as data, not raised.
+    Each Gauss valuation is taken once per (h, s), in the commutation pass,
+    and the other two checks read that table.  Failures are recorded as
+    data, not raised; an inexact valuation on the grid raises ValueError.
     """
     grid = [as_gauss_param(s) for s in s_grid]
     h_sum = add(f, g)
@@ -257,29 +242,34 @@ def verify_npf(f: Series, g: Series, s_grid: Sequence) -> NPFReport:
     witnesses: List[Tuple[str, Fraction, str, str]] = []
 
     commutation = True
+    table: List[List[Value]] = []  # Gauss valuations, one row per h, one column per s
     for label, h in labelled:
-        leg = _legendre_of_polygon(h)
-        val = _ln(h)
+        F = None if h.is_zero else newton_polygon(h)
+        row = []
         for s in grid:
-            lhs, rhs = leg(s), val(s)
+            lhs = INF if F is None else legendre_eval(F, s)
+            rhs, exact = gauss_valuation(h, s)
+            if not exact:
+                raise ValueError("inexact Gauss valuation on the sample grid")
+            row.append(rhs)
             if lhs != rhs:
                 commutation = False
                 witnesses.append(
                     (f"commutation[{label}]", s, format_value(lhs), format_value(rhs))
                 )
+        table.append(row)
+    v_f, v_g, v_sum, v_prod = table
 
     superadditive = True
-    lhs_fn = tropical_min(_ln(f), _ln(g))
-    for s in grid:
-        lo, hi = lhs_fn(s), _ln(h_sum)(s)
+    for s, a, b, hi in zip(grid, v_f, v_g, v_sum):
+        lo = min(a, b)
         if not lo <= hi:
             superadditive = False
             witnesses.append(("superadditivity", s, format_value(lo), format_value(hi)))
 
     multiplicative = True
-    prod_fn = tropical_add(_ln(f), _ln(g))
-    for s in grid:
-        lhs, rhs = prod_fn(s), _ln(h_prod)(s)
+    for s, a, b, rhs in zip(grid, v_f, v_g, v_prod):
+        lhs = a + b
         if lhs != rhs:
             multiplicative = False
             witnesses.append(("multiplicativity", s, format_value(lhs), format_value(rhs)))

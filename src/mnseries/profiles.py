@@ -63,19 +63,13 @@ def iroot(n: int, value: int) -> int:
     """Floor of the integer n-th root of a nonnegative integer.
 
     Newton's iteration, exact in integers, from any start at or above the
-    root.  Below 2^1000 the start is the float root raised by 2^-40
-    relative, far beyond its rounding error (under 1e-13 relative), so the
-    iteration converges quadratically from its first step; above, the
-    start is the next power of two.
+    root; the start is the power of two ``2^ceil(bits / n)``.
     """
     if value < 0:
         raise ValueError("iroot of a negative number")
     if value == 0:
         return 0
-    if value.bit_length() <= 1000:
-        x = int(float(value) ** (1 / n) * (1 + 2**-40)) + 1
-    else:
-        x = 1 << ((value.bit_length() + n - 1) // n)
+    x = 1 << ((value.bit_length() + n - 1) // n)
     while True:
         y = ((n - 1) * x + value // x ** (n - 1)) // n
         if y >= x:
@@ -258,7 +252,9 @@ class ProfileElement:
     the rule is the same and every digit is decided by exact integer
     comparisons.  The rule's index-independent integers (``u^b``, ``v^b``,
     ``p^b``) and logarithms are computed once, at construction, into a
-    field that takes no part in ``==``, ``hash`` or ``repr``.
+    field that takes no part in ``==``, ``hash`` or ``repr``.  ``c`` and
+    ``r`` must each be an int or a Fraction; anything else raises a
+    ValueError that names the field and the value.
     """
 
     domain: CoefficientDomain
@@ -269,6 +265,10 @@ class ProfileElement:
     def __post_init__(self):
         if isinstance(self.domain, PadicDigits):
             raise ValueError("profiles need a polynomial coefficient domain")
+        for name in ("c", "r"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, Fraction)):
+                raise ValueError(f"profile {name} must be an int or a Fraction, got {value!r}")
         if not self.c > 0:
             raise ValueError("profile constant must be positive")
         if not self.r > 0:

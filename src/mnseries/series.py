@@ -252,6 +252,12 @@ def term_values(f: Series, s) -> List[Tuple[Fraction, Value]]:
     return [(i, f.domain.base_valuation_at(a, s) + s * i) for i, a in f.terms]
 
 
+def _lowest(values: List[Tuple[Fraction, Value]]) -> Tuple[Fraction, Value]:
+    """Smallest index attaining the least of nonempty term values, and that value."""
+    best = min(v for _, v in values)
+    return next(i for i, v in values if v == best), best
+
+
 def gauss_valuation(f: Series, s) -> Tuple[Value, bool]:
     """Gauss valuation ``min_i (v_s(a_i) + s*i)`` and an exactness flag.
 
@@ -260,10 +266,7 @@ def gauss_valuation(f: Series, s) -> Tuple[Value, bool]:
     ``s * prec`` already dominates the result.
     """
     s = as_gauss_param(s)
-    best: Value = INF
-    for _, v in term_values(f, s):
-        if v < best:
-            best = v
+    best = min((v for _, v in term_values(f, s)), default=INF)
     if isinstance(f.prec, Infinity):
         return best, True
     if isinstance(best, Infinity):
@@ -275,12 +278,7 @@ def argnorm(f: Series, s) -> Fraction:
     """Smallest support index attaining the Gauss valuation."""
     if f.is_zero:
         raise ZeroSeriesError("argnorm of the zero series is undefined")
-    values = term_values(f, s)
-    best = min(v for _, v in values)
-    for i, v in values:
-        if v == best:
-            return i
-    raise AssertionError("unreachable")  # pragma: no cover
+    return _lowest(term_values(f, s))[0]
 
 
 def restrict(f: Series, lo, hi, threshold: Value, s) -> Series:
@@ -293,31 +291,24 @@ def restrict(f: Series, lo, hi, threshold: Value, s) -> Series:
     return Series.make(f.domain, f.mode, kept, f.prec, raw=True)
 
 
-def _window_is_clear(f: Series, s, lo_open: Fraction, hi_open: Value, bound: Value) -> bool:
-    """No term with index strictly inside (lo_open, hi_open) has value <= bound."""
-    for i, v in term_values(f, s):
-        if lo_open < i and i < hi_open and v <= bound:
-            return False
-    return True
-
-
 def box_witness(f: Series, s) -> Tuple[Fraction, Fraction]:
     """Witness (eps_a, delta_a) for the empty box above the argnorm.
 
     ``eps_a`` is the gap from the argnorm to the next larger support index
     (1 when there is none); ``delta_a`` is half the gap from the Gauss
     valuation to the next-smallest distinct term value (1 when unique).
-    The certified window is re-scanned before returning.
+    All of it, and the re-scan of the certified window before returning,
+    reads one pass of term values.
     """
     if f.is_zero:
         raise ZeroSeriesError("box witness of the zero series is undefined")
-    a_star = argnorm(f, s)
-    above = [i for i in f.support if i > a_star]
+    values = term_values(f, s)
+    a_star, v0 = _lowest(values)
+    above = [i for i, _ in values if i > a_star]
     eps_a = (above[0] - a_star) if above else Fraction(1)
-    values = sorted({v for _, v in term_values(f, s)})
-    delta_a = (values[1] - values[0]) / 2 if len(values) > 1 else Fraction(1)
-    v0, _ = gauss_valuation(f, s)
-    if not _window_is_clear(f, s, a_star, a_star + eps_a, v0 + delta_a):
+    distinct = sorted({v for _, v in values})
+    delta_a = (distinct[1] - distinct[0]) / 2 if len(distinct) > 1 else Fraction(1)
+    if any(a_star < i < a_star + eps_a and v <= v0 + delta_a for i, v in values):
         raise AssertionError("box witness window not empty")  # pragma: no cover
     return eps_a, delta_a
 
@@ -325,16 +316,17 @@ def box_witness(f: Series, s) -> Tuple[Fraction, Fraction]:
 def bar_witness(f: Series, s, eps) -> Fraction:
     """Witness delta_b: no term left of ``argnorm - eps`` comes within delta_b
     of the Gauss valuation.  Half the scanned gap; 1 when the window is empty.
+    The argnorm, the valuation and the gaps read one pass of term values.
     """
     if f.is_zero:
         raise ZeroSeriesError("bar witness of the zero series is undefined")
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    a_star = argnorm(f, s)
-    v0, _ = gauss_valuation(f, s)
+    values = term_values(f, s)
+    a_star, v0 = _lowest(values)
     cutoff = a_star - eps
-    gaps = [v - v0 for i, v in term_values(f, s) if i < cutoff]
+    gaps = [v - v0 for i, v in values if i < cutoff]
     return min(gaps) / 2 if gaps else Fraction(1)
 
 
@@ -344,7 +336,9 @@ def localize(f: Series, g: Series, s) -> Tuple[Tuple[Series, Series], Value]:
 
     Box witnesses of each factor cap the bar epsilons of the other; the
     value cut is half the smallest of the four witnesses.  The prediction
-    ``v_s(f) + v_s(g)`` equals the Gauss valuation of the product.
+    ``v_s(f) + v_s(g)`` equals the Gauss valuation of the product.  Each
+    factor's argnorm and valuation come from the one pass of term values
+    that cuts its window.
     """
     _check_compatible(f, g)
     if f.is_zero or g.is_zero:
@@ -357,17 +351,17 @@ def localize(f: Series, g: Series, s) -> Tuple[Tuple[Series, Series], Value]:
     delta_bar_f = bar_witness(f, s, eps_bar_f)
     delta_bar_g = bar_witness(g, s, eps_bar_g)
     delta = min(delta_box_f, delta_bar_f, delta_box_g, delta_bar_g) / 2
-    vf, _ = gauss_valuation(f, s)
-    vg, _ = gauss_valuation(g, s)
 
-    def window(h: Series, a_star: Fraction, eps: Fraction, bound: Value) -> Series:
+    def window(h: Series, eps: Fraction) -> Tuple[Series, Value]:
+        values = term_values(h, s)
+        a_star, v = _lowest(values)
         kept = [
             (i, a)
-            for (i, a), (_, v) in zip(h.terms, term_values(h, s))
-            if a_star - eps < i and i <= a_star and v <= bound
+            for (i, a), (_, w) in zip(h.terms, values)
+            if a_star - eps < i and i <= a_star and w <= v + delta
         ]
-        return Series.make(h.domain, h.mode, kept, h.prec, raw=True)
+        return Series.make(h.domain, h.mode, kept, h.prec, raw=True), v
 
-    f_loc = window(f, argnorm(f, s), eps_bar_f, vf + delta)
-    g_loc = window(g, argnorm(g, s), eps_bar_g, vg + delta)
+    f_loc, vf = window(f, eps_bar_f)
+    g_loc, vg = window(g, eps_bar_g)
     return (f_loc, g_loc), vf + vg

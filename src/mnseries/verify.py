@@ -88,34 +88,27 @@ def _rand_exponent(rng: random.Random, p: int, lattice: bool, max_num: int = 10)
     return Fraction(rng.randrange(0, max_num * den + 1), den)
 
 
-def _rand_perfect_coeff(rng: random.Random, dom: PerfectPoly):
+def _rand_poly_coeff(rng: random.Random, dom, hi: int, reduced: bool = False):
+    """1-3 monomials with coefficients in [1, hi): the count first, then the
+    exponent and the coefficient of each.  With ``reduced``, redraw until the
+    result is a reduced digit (colliding exponents can merge into a multiple of p).
+    """
     lattice = dom.denominators == "p-power"
-    monos = [
-        (_rand_exponent(rng, dom.p, lattice, 4), rng.randrange(1, dom.p))
-        for _ in range(rng.randrange(1, 4))
-    ]
-    return dom.poly(monos)
-
-
-def _rand_mixed_coeff(rng: random.Random, dom: MixedPoly, reduced: bool = False):
-    lattice = dom.denominators == "p-power"
-    hi = dom.p if reduced else dom.p**2
     while True:
         monos = [
             (_rand_exponent(rng, dom.p, lattice, 4), rng.randrange(1, hi))
             for _ in range(rng.randrange(1, 4))
         ]
         out = dom.poly(monos)
-        # colliding exponents can merge into a multiple of p
         if not reduced or dom.is_reduced_digit(out):
             return out
 
 
 def _rand_coeff(rng: random.Random, dom, reduced: bool = False):
     if isinstance(dom, PerfectPoly):
-        return _rand_perfect_coeff(rng, dom)
+        return _rand_poly_coeff(rng, dom, dom.p)
     if isinstance(dom, MixedPoly):
-        return _rand_mixed_coeff(rng, dom, reduced)
+        return _rand_poly_coeff(rng, dom, dom.p if reduced else dom.p**2, reduced)
     hi = dom.p if reduced else dom.p**3
     return rng.randrange(1, hi)
 
@@ -189,7 +182,7 @@ def _suite_base_valuations(rng: random.Random, cases: int) -> List[str]:
     for case in range(cases):
         p = rng.choice([2, 3, 5])
         perf = PerfectPoly(p, "p-power")
-        a, b = _rand_perfect_coeff(rng, perf), _rand_perfect_coeff(rng, perf)
+        a, b = _rand_coeff(rng, perf), _rand_coeff(rng, perf)
         if perf.coeff_valuation(perf.mul(a, b)) != perf.coeff_valuation(a) + perf.coeff_valuation(b):
             failures.append(_witness(case, law="perfect-multiplicative", a=a, b=b))
         padic = PadicDigits(p, 32)
@@ -198,14 +191,14 @@ def _suite_base_valuations(rng: random.Random, cases: int) -> List[str]:
         if any(padic.base_valuation_at(digit, s) != padic.coeff_valuation(digit) for s in svals):
             failures.append(_witness(case, law="digit-constant-padic", digit=digit))
         mixed = MixedPoly(p, 32, "p-power")
-        md = _rand_mixed_coeff(rng, mixed, reduced=True)
+        md = _rand_coeff(rng, mixed, reduced=True)
         if any(mixed.base_valuation_at(md, s) != mixed.coeff_valuation(md) for s in svals):
             failures.append(_witness(case, law="digit-constant-mixed", digit=md))
         raw = rng.randrange(1, p**3)
         s = rng.choice(_S_POOL)
         if padic.base_valuation_at(p * raw, s) != s + padic.base_valuation_at(raw, s):
             failures.append(_witness(case, law="padic-shift", a=raw, s=s))
-        ma, mb = _rand_mixed_coeff(rng, mixed), _rand_mixed_coeff(rng, mixed)
+        ma, mb = _rand_coeff(rng, mixed), _rand_coeff(rng, mixed)
         res = mixed.residue_domain
         hom_add = mixed.reduce_mod_p(mixed.add(ma, mb)) == res.add(
             mixed.reduce_mod_p(ma), mixed.reduce_mod_p(mb)

@@ -1,5 +1,7 @@
 """Series literal parsing and canonical printing."""
 
+import random
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -15,6 +17,7 @@ from mnseries import (
     format_series,
     parse_series,
 )
+from mnseries.grammar import _Tokenizer
 
 P3 = PerfectPoly(3)
 PD2 = PadicDigits(2)
@@ -103,3 +106,74 @@ def test_format_infinite_precision_has_no_o_term():
     f = parse_series("x*t", P3, Mode.FORMAL)
     assert f.prec == INF
     assert "O(" not in format_series(f)
+
+
+# --- the one-pass tokenizer against the earlier per-token loop --------------
+
+_REFERENCE_TOKEN_RE = re.compile(r"\s*(\d+|[A-Za-z]+|[+*^{}()/])")
+
+
+def reference_tokens(text):
+    """The earlier tokenizer, kept as a reference: before each token it slices
+    the rest of the text and strips it.  Returns the (token, position) list,
+    or the error message and position."""
+    pos, tokens = 0, []
+    while pos < len(text):
+        rest = text[pos:]
+        if not rest.strip():
+            break
+        m = _REFERENCE_TOKEN_RE.match(text, pos)
+        if not m:
+            stripped = rest.lstrip()
+            at = len(text) - len(stripped)
+            return ParseError(f"unexpected character {stripped[0]!r}", at).args, at
+        tokens.append((m.group(1), m.start(1)))
+        pos = m.end()
+    return tokens
+
+
+def tokens_of(text):
+    try:
+        return _Tokenizer(text).tokens
+    except ParseError as err:
+        return err.args, err.position
+
+
+# ASCII tokens, Unicode spaces and digits (which \s and \d accept), and
+# characters no token starts with
+_ALPHABET = list("0123456789 xtpO+*^{}()/") + [
+    "\t", "\n", "\x0b", "\x1c", "\xa0", "\u2003", "\u0663", "\xb2", "?", "-", ".", "\xe9", "_",
+]
+
+
+def _mutate(rng, text):
+    chars = list(text)
+    for _ in range(rng.randrange(1, 4)):
+        at = rng.randrange(0, len(chars) + 1)
+        op = rng.randrange(3)
+        if op == 0 or not chars[at:]:
+            chars.insert(at, rng.choice(_ALPHABET))
+        elif op == 1:
+            del chars[at]
+        else:
+            chars[at] = rng.choice(_ALPHABET)
+    return "".join(chars)
+
+
+def test_tokenizer_matches_reference_loop():
+    rng = random.Random(8)
+    literals = [
+        "(x^{3/2} + 2*x^{1/4})*t^{5/8} + x*t^{2} + O(t^{3})",
+        "3*p^{1/2} + 1",
+        "(x + 3)*p^{1/2} + x^{2}*p",
+        "  x*t   + O(t^{7/4})  ",
+    ]
+    corpus = ["", " ", "\t\n", "?", " ?", "x ?", "12 34"]
+    corpus += ["".join(rng.choice(_ALPHABET) for _ in range(rng.randrange(1, 30))) for _ in range(2000)]
+    corpus += [_mutate(rng, rng.choice(literals)) for _ in range(2000)]
+    errors = 0
+    for text in corpus:
+        expected = reference_tokens(text)
+        assert tokens_of(text) == expected, text
+        errors += not isinstance(expected, list)
+    assert 0 < errors < len(corpus)

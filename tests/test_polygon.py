@@ -186,6 +186,64 @@ def test_verify_npf_cancellation_case():
     assert report.superadditive and report.ok
 
 
+def _npf_pair():
+    f = Series.make(P3, Mode.FORMAL, [(Q(0), P3.x_power(1)), (Q(1), P3.one())])
+    g = Series.make(P3, Mode.FORMAL, [(Q(1, 2), P3.x_power(2)), (Q(2), P3.from_int(2))])
+    return f, g
+
+
+def test_verify_npf_values_each_series_once_per_grid_point(monkeypatch):
+    import mnseries.polygon as polygon_module
+
+    calls = []
+    original = polygon_module.gauss_valuation
+
+    def counted(h, s):
+        calls.append((h, s))
+        return original(h, s)
+
+    monkeypatch.setattr(polygon_module, "gauss_valuation", counted)
+    f, g = _npf_pair()
+    grid = [Q(1, 2), Q(1), Q(2), Q(3)]
+    assert verify_npf(f, g, grid).ok
+    assert len(calls) == 4 * len(grid)
+    assert len(set(calls)) == len(calls)
+
+
+def test_verify_npf_witness_order(monkeypatch):
+    import mnseries.polygon as polygon_module
+
+    f, g = _npf_pair()
+    prod = mul(f, g)[0]
+    original = polygon_module.gauss_valuation
+
+    def off_by_one_on_product(h, s):
+        v, exact = original(h, s)
+        return (v + 1 if h == prod else v), exact
+
+    monkeypatch.setattr(polygon_module, "gauss_valuation", off_by_one_on_product)
+    grid = [Q(1), Q(2)]
+    report = verify_npf(f, g, grid)
+    assert (report.commutation, report.superadditive, report.multiplicative) == (
+        False,
+        True,
+        False,
+    )
+    labels = [(label, s) for label, s, _, _ in report.witnesses]
+    assert labels == [("commutation[f*g]", Q(1)), ("commutation[f*g]", Q(2))] + [
+        ("multiplicativity", Q(1)),
+        ("multiplicativity", Q(2)),
+    ]
+    lhs, rhs = report.witnesses[-1][2:]
+    assert Q(lhs) + 1 == Q(rhs)
+
+
+def test_verify_npf_rejects_inexact_grid_valuation():
+    f, g = _npf_pair()
+    with pytest.raises(ValueError, match="inexact Gauss valuation"):
+        verify_npf(f.with_prec(Q(1, 2)), g, [Q(1)])
+
+
 # --- hypothesis: hull is a maximal nonincreasing convex minorant -----------
 
 _pt = st.tuples(

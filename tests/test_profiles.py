@@ -480,6 +480,14 @@ def test_digit_index_must_be_rational():
     assert profile.digit_exponent(2) == profile.digit_exponent(Q(2)) == Q(1, 8)
 
 
+@pytest.mark.parametrize("name", ["c", "r"])
+@pytest.mark.parametrize("bad", [0.25, "1/4", None])
+def test_profile_constants_must_be_rational(name, bad):
+    fields = {"c": Q(1), "r": Q(1), name: bad}
+    with pytest.raises(ValueError, match=f"profile {name} must be an int or a Fraction, got {bad!r}"):
+        ProfileElement(P2, **fields)
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_chain_report_values_each_digit_once(p, monkeypatch):
     dom = PerfectPoly(p, "p-power")

@@ -410,6 +410,83 @@ def test_localize_prediction_examples():
     assert prediction == gauss_valuation(prod, 2)[0] == 2
 
 
+def _count_term_values(monkeypatch):
+    """Count the term-value passes the series module makes from here on."""
+    import mnseries.series as series_module
+
+    calls = []
+    original = series_module.term_values
+
+    def counted(f, s):
+        calls.append(f)
+        return original(f, s)
+
+    monkeypatch.setattr(series_module, "term_values", counted)
+    return calls
+
+
+def test_witnesses_read_one_term_value_pass(monkeypatch):
+    f = Series.make(
+        P3F,
+        Mode.FORMAL,
+        [(Q(1, 2), P3F.x_power(2)), (Q(1), P3F.x_power(1)), (Q(2), P3F.one())],
+    )
+    g = Series.make(P3F, Mode.FORMAL, [(Q(0), P3F.x_power(1)), (Q(3, 2), P3F.one())])
+    calls = _count_term_values(monkeypatch)
+    box_witness(f, 1)
+    assert len(calls) == 1
+    bar_witness(f, 1, Q(1, 4))
+    assert len(calls) == 2
+    argnorm(f, 1)
+    gauss_valuation(f, 1)
+    assert len(calls) == 4
+    calls.clear()
+    localize(f, g, 1)
+    # a box and a bar witness per factor, and one pass per window
+    assert len(calls) == 6
+
+
+# --- known silent wraparound ------------------------------------------------
+# Arithmetic mode folds equal exponents, and multiplies digits, modulo p^N
+# before canonicalize carries, so an overflow past p^N can vanish without a
+# PrecisionLossError.  Each test first pins the N = 32 result the small-N
+# computation loses.  They fail as XPASS once the fold is exact.
+
+_WRAPAROUND = pytest.mark.xfail(
+    strict=True, raises=pytest.fail.Exception, reason="silent mod-p^N wraparound"
+)
+
+
+@_WRAPAROUND
+def test_make_fold_overflow_raises():
+    terms = [(Q(1, 4), 1)] * 4
+    assert Series.make(PadicDigits(2, 32), Mode.ARITHMETIC, terms).terms == ((Q(9, 4), 1),)
+    with pytest.raises(PrecisionLossError):
+        Series.make(PadicDigits(2, 2), Mode.ARITHMETIC, terms)
+
+
+@_WRAPAROUND
+def test_padic_digit_square_overflow_raises():
+    def square(dom):
+        two = Series.make(dom, Mode.ARITHMETIC, [(Q(0), 2)])
+        return mul(two, two)[0]
+
+    assert square(PadicDigits(3, 32)).terms == ((Q(0), 1), (Q(1), 1))
+    with pytest.raises(PrecisionLossError):
+        square(PadicDigits(3, 1))
+
+
+@_WRAPAROUND
+def test_mixed_square_overflow_raises():
+    def square(dom):
+        f = Series.make(dom, Mode.ARITHMETIC, [(Q(0), dom.poly([(0, 2), (1, 2), (2, 2)]))])
+        return mul(f, f)[0]
+
+    assert square(MixedPoly(3, 32)).coefficient(2) == MixedPoly(3, 32).x_power(2)
+    with pytest.raises(PrecisionLossError):
+        square(MixedPoly(3, 2))
+
+
 # --- property tests --------------------------------------------------------
 
 _small_q = st.fractions(min_value=0, max_value=6, max_denominator=4)

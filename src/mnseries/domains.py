@@ -195,7 +195,7 @@ class _PolyDomain(_Domain):
         acc: dict = {}
         modulus = self.modulus
         for e, c in terms:
-            e = self._check_exponent(Fraction(e))
+            e = self._check_exponent(e)
             acc[e] = (acc.get(e, 0) + int(c)) % modulus
         return XPoly(tuple(sorted((e, c) for e, c in acc.items() if c)))
 

@@ -16,7 +16,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Sequence, Tuple
 
 from .errors import ZeroSeriesError
 from .series import Series, add, gauss_valuation, mul
@@ -42,14 +42,31 @@ class PLConvexFn:
     ``nodes`` are the hull vertices with strictly increasing x.  The
     function is +oo on [0, x_first) and extends with constant value beyond
     the last node; consecutive slopes are nondecreasing and nonpositive.
+    The nodes are checked on integer coordinates (see
+    :func:`_integer_coordinates`), which the polygon keeps, with their two
+    denominators, in a field that takes no part in ``==``, ``hash`` or
+    ``repr``; :func:`legendre_eval` reads them.
     """
 
     nodes: Tuple[Tuple[Fraction, Fraction], ...]
+    _scaled: _Scaled = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.nodes:
             raise ValueError("a polygon needs at least one node")
-        xs, ys = _integer_coordinates(self.nodes)
+        self._adopt(_integer_coordinates(self.nodes))
+
+    @classmethod
+    def _from_scaled(cls, nodes, scaled: _Scaled) -> "PLConvexFn":
+        """The polygon on ``nodes``, given their integer coordinates already."""
+        F = object.__new__(cls)
+        object.__setattr__(F, "nodes", nodes)
+        F._adopt(scaled)
+        return F
+
+    def _adopt(self, scaled: _Scaled) -> None:
+        """Check the nodes on their integer coordinates, then keep those."""
+        xs, ys = scaled.xs, scaled.ys
         if any(x < 0 for x in xs):
             raise ValueError("node abscissae must be nonnegative")
         if any(b <= a for a, b in zip(xs, xs[1:])):
@@ -62,6 +79,7 @@ class PLConvexFn:
             for x1, x2, x3, y1, y2, y3 in zip(xs, xs[1:], xs[2:], ys, ys[1:], ys[2:])
         ):
             raise ValueError("slopes must be nondecreasing (convexity)")
+        object.__setattr__(self, "_scaled", scaled)
 
     @property
     def x_first(self) -> Fraction:
@@ -92,17 +110,27 @@ class PLConvexFn:
         return PLConvexFn(tuple((x + dx, y + dy) for x, y in self.nodes))
 
 
-def _integer_coordinates(points) -> Tuple[List[int], List[int]]:
+class _Scaled(NamedTuple):
+    """A polygon's nodes on integer coordinates: node k is ``(xs[k]/dx, ys[k]/dy)``."""
+
+    xs: Sequence[int]
+    ys: Sequence[int]
+    dx: int  # a common denominator of the abscissae
+    dy: int  # a common denominator of the ordinates
+
+
+def _integer_coordinates(points) -> _Scaled:
     """Rational coordinates scaled to integers by one common denominator per axis.
 
     Scaling an axis by a positive constant keeps every order, equality and
-    cross-product sign, so hull and convexity tests can run on the integers.
+    cross-product sign, so hull, convexity and Legendre tests can run on the
+    integers, with any common denominator.  Here it is the least one.
     """
     xr = [x.as_integer_ratio() for x, _ in points]
     yr = [y.as_integer_ratio() for _, y in points]
     dx = lcm(*(d for _, d in xr))
     dy = lcm(*(d for _, d in yr))
-    return [n * (dx // d) for n, d in xr], [n * (dy // d) for n, d in yr]
+    return _Scaled([n * (dx // d) for n, d in xr], [n * (dy // d) for n, d in yr], dx, dy)
 
 
 def lower_hull(points: Sequence[Tuple[Fraction, Fraction]]) -> PLConvexFn:
@@ -111,11 +139,12 @@ def lower_hull(points: Sequence[Tuple[Fraction, Fraction]]) -> PLConvexFn:
     Takes the running-minimum envelope left to right, then a monotone-chain
     lower hull; collinear interior points are dropped.  Both passes run on
     integer coordinates (see :func:`_integer_coordinates`), O(n log n) for
-    the sort and O(n) after it, and the nodes are the original points.
+    the sort and O(n) after it.  The nodes are the original points, and the
+    polygon keeps the integers the passes computed for them.
     """
     if not points:
         raise ValueError("need at least one point")
-    xs, ys = _integer_coordinates(points)
+    xs, ys, dx, dy = _integer_coordinates(points)
     # (X, Y, x, y): the scaled abscissa and running-minimum ordinate, and the
     # original coordinates they stand for
     enveloped: List[Tuple[int, int, Fraction, Fraction]] = []
@@ -142,7 +171,8 @@ def lower_hull(points: Sequence[Tuple[Fraction, Fraction]]) -> PLConvexFn:
     # a trailing constant stretch collapses onto its first node
     while len(hull) >= 2 and hull[-1][1] == hull[-2][1]:
         hull.pop()
-    return PLConvexFn(tuple((x, y) for _, _, x, y in hull))
+    X, Y, x, y = zip(*hull)
+    return PLConvexFn._from_scaled(tuple(zip(x, y)), _Scaled(X, Y, dx, dy))
 
 
 def newton_polygon(f: Series) -> PLConvexFn:
@@ -171,17 +201,21 @@ def legendre_eval(F: PLConvexFn, s) -> Fraction:
     Along the nodes, ``y + s*x`` moves by ``(x' - x) * (slope + s)`` from
     one node to the next; the slopes never fall, so once a step is >= 0
     every later one is, and the minimum sits at the first node whose next
-    step is >= 0: a binary search, O(log n) per s.
+    step is >= 0: a binary search, O(log n) per s.  It runs on the
+    polygon's integer coordinates: with ``x = X/dx``, ``y = Y/dy`` and
+    ``s = sn/sd``, a step is >= 0 when ``(Y' - Y)*dx*sd + sn*dy*(X' - X)``
+    is.  The value at the node found, ``(Y*dx*sd + sn*dy*X) / (dy*dx*sd)``,
+    is the one Fraction built.
     """
     s = as_gauss_param(s)
-    nodes = F.nodes
+    xs, ys, dx, dy = F._scaled
+    a, b = dx * s.denominator, s.numerator * dy
     k = bisect_left(
-        range(len(nodes) - 1),
+        range(len(xs) - 1),
         True,
-        key=lambda j: (nodes[j + 1][1] - nodes[j][1]) + s * (nodes[j + 1][0] - nodes[j][0]) >= 0,
+        key=lambda j: (ys[j + 1] - ys[j]) * a + b * (xs[j + 1] - xs[j]) >= 0,
     )
-    x, y = nodes[k]
-    return y + s * x
+    return Fraction(ys[k] * a + b * xs[k], dy * a)
 
 
 def tropical_min(F: Callable[[Fraction], Value], G: Callable[[Fraction], Value]):

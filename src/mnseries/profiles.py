@@ -253,8 +253,8 @@ class ProfileElement:
     comparisons.  The rule's index-independent integers (``u^b``, ``v^b``,
     ``p^b``) and logarithms are computed once, at construction, into a
     field that takes no part in ``==``, ``hash`` or ``repr``.  ``c`` and
-    ``r`` must each be an int or a Fraction; anything else raises a
-    ValueError that names the field and the value.
+    ``r`` must each be an int or a Fraction (a bool is neither); anything
+    else raises a ValueError that names the field and the value.
     """
 
     domain: CoefficientDomain
@@ -267,7 +267,7 @@ class ProfileElement:
             raise ValueError("profiles need a polynomial coefficient domain")
         for name in ("c", "r"):
             value = getattr(self, name)
-            if not isinstance(value, (int, Fraction)):
+            if not isinstance(value, (int, Fraction)) or isinstance(value, bool):
                 raise ValueError(f"profile {name} must be an int or a Fraction, got {value!r}")
         if not self.c > 0:
             raise ValueError("profile constant must be positive")
@@ -289,7 +289,7 @@ class ProfileElement:
 
     @property
     def mu(self) -> Fraction:
-        return self.r / (self.r + 1)
+        return Fraction(self.r, self.r + 1)
 
     def digit_exponent(self, i) -> Fraction:
         """Lattice exponent ``q_i = m / p^k`` approximating ``tau = c * i^(-r)``.

@@ -119,7 +119,7 @@ class Series:
             prec = as_exponent(prec)
         acc: dict = {}
         for e, a in terms:
-            e = as_exponent(Fraction(e))
+            e = as_exponent(e)
             if e >= prec:
                 continue
             a = domain.coerce(a)

@@ -376,14 +376,93 @@ def test_plconvexfn_equal_slopes_accepted_concave_rejected():
     PLConvexFn(((Q(0), Q(2)), (Q(1, 3), Q(5, 3)), (Q(2, 3), Q(4, 3))))
     # a concave corner: the second edge steeper than the first by 3/10^9
     PLConvexFn(((Q(0), Q(2)), (Q(1, 3), Q(5, 3)), (Q(2, 3), Q(4, 3) + Q(1, 10**9))))
-    with pytest.raises(ValueError, match="convexity"):
+    convexity = r"^slopes must be nondecreasing \(convexity\)$"
+    with pytest.raises(ValueError, match=convexity):
         PLConvexFn(((Q(0), Q(2)), (Q(1, 3), Q(5, 3)), (Q(2, 3), Q(4, 3) - Q(1, 10**9))))
-    with pytest.raises(ValueError, match="convexity"):
+    with pytest.raises(ValueError, match=convexity):
         PLConvexFn(((Q(0), Q(3)), (Q(1), Q(2)), (Q(2), Q(0))))
-    # the checks keep their order: abscissae before ordinates before slopes
-    with pytest.raises(ValueError, match="nonnegative"):
+    # the checks keep their order and their messages: abscissae before
+    # ordinates before slopes
+    with pytest.raises(ValueError, match="^node abscissae must be nonnegative$"):
         PLConvexFn(((Q(-1), Q(3)), (Q(1), Q(5))))
-    with pytest.raises(ValueError, match="strictly increasing"):
+    with pytest.raises(ValueError, match="^node abscissae must be strictly increasing$"):
         PLConvexFn(((Q(1), Q(3)), (Q(1), Q(2)), (Q(2), Q(5))))
-    with pytest.raises(ValueError, match="nonincreasing"):
+    with pytest.raises(ValueError, match="^node ordinates must be nonincreasing$"):
         PLConvexFn(((Q(0), Q(3)), (Q(1), Q(2)), (Q(2), Q(5))))
+
+
+# --- the integer coordinates a polygon keeps for its Legendre search --------
+
+_ANY_DENS = (1, 2, 3, 7, 10, 12, 10**9 + 7)
+_P_POWER_DENS = tuple(p**k for p in (2, 3, 5) for k in (0, 1, 4, 13, 40))
+
+
+def _seeded_convex_nodes(rng, dens):
+    """Nodes of a convex nonincreasing polygon, collinear and flat runs included."""
+    n = rng.randrange(1, 10)
+    slopes = sorted(-Q(rng.randrange(0, 30), rng.choice(dens)) for _ in range(n - 1))
+    x, y = Q(rng.randrange(0, 5), rng.choice(dens)), Q(rng.randrange(20, 80), rng.choice(dens))
+    nodes = [(x, y)]
+    for slope in slopes:
+        dx = Q(rng.randrange(1, 9), rng.choice(dens))
+        x, y = x + dx, y + slope * dx
+        nodes.append((x, y))
+    return tuple(nodes)
+
+
+def _seeded_polygons():
+    """Polygons built by the constructor, by ``translate`` and by ``lower_hull``."""
+    rng = random.Random(909)
+    for dens in (_ANY_DENS, _P_POWER_DENS):
+        for _ in range(60):
+            nodes = _seeded_convex_nodes(rng, dens)
+            F = PLConvexFn(nodes)
+            yield F
+            yield F.translate(Q(rng.randrange(0, 9), rng.choice(dens)),
+                              Q(rng.randrange(-9, 9), rng.choice(dens)))
+            # points on and above the polygon, shuffled, with repeated abscissae
+            pts = list(nodes) + [(x, y + Q(rng.randrange(0, 5), rng.choice(dens)))
+                                 for x, y in rng.sample(nodes, rng.randrange(0, len(nodes) + 1))]
+            rng.shuffle(pts)
+            yield lower_hull(pts)
+
+
+def _legendre_grid(F, rng):
+    grid = [Q(0), Q(1), Q(rng.randrange(2, 10**6))]
+    grid += [Q(rng.randrange(1, 10**40), 3**rng.randrange(60, 90)) for _ in range(3)]
+    grid += [Q(rng.randrange(1, 10**40), 10**40 + 121) for _ in range(2)]
+    for (x1, y1), (x2, y2) in zip(F.nodes, F.nodes[1:]):
+        grid.append(-(y2 - y1) / (x2 - x1))  # a tie between two nodes
+    return grid
+
+
+def test_integer_legendre_matches_node_minimum_on_seeded_polygons():
+    rng = random.Random(910)
+    count = 0
+    for F in _seeded_polygons():
+        for s in _legendre_grid(F, rng):
+            got = legendre_eval(F, s)
+            assert type(got) is Q
+            assert got == min(y + s * x for x, y in F.nodes)
+        count += 1
+    assert count == 360
+
+
+def test_lower_hull_equals_polygon_rebuilt_from_its_nodes():
+    for pts in _seeded_point_sets():
+        F = lower_hull(pts)
+        G = PLConvexFn(F.nodes)
+        assert F == G and hash(F) == hash(G) and repr(F) == repr(G)
+        assert repr(F) == f"PLConvexFn(nodes={F.nodes!r})"
+        for s in (Q(0), Q(3), Q(5, 7)):
+            assert legendre_eval(F, s) == legendre_eval(G, s)
+
+
+def test_invalid_nodes_from_translate_and_hull():
+    F = PLConvexFn(((Q(1), Q(3)), (Q(2), Q(1))))
+    with pytest.raises(ValueError, match="^node abscissae must be nonnegative$"):
+        F.translate(Q(-3, 2), 0)
+    with pytest.raises(ValueError, match="^node abscissae must be nonnegative$"):
+        lower_hull([(Q(-1, 3), Q(2)), (Q(1), Q(1))])
+    with pytest.raises(ValueError, match="^a polygon needs at least one node$"):
+        PLConvexFn(())

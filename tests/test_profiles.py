@@ -488,6 +488,23 @@ def test_profile_constants_must_be_rational(name, bad):
         ProfileElement(P2, **fields)
 
 
+@pytest.mark.parametrize("name", ["c", "r"])
+@pytest.mark.parametrize("bad", [True, False])
+def test_profile_constants_reject_bools(name, bad):
+    fields = {"c": Q(1), "r": Q(1), name: bad}
+    with pytest.raises(ValueError, match=f"profile {name} must be an int or a Fraction, got {bad!r}"):
+        ProfileElement(P2, **fields)
+
+
+def test_mu_is_exact_for_int_rate():
+    int_rate = ProfileElement(P2, Q(1, 4), 1)
+    assert type(int_rate.mu) is Q and int_rate.mu == Q(1, 2)
+    law = legendre_power_law(int_rate)
+    assert type(law.exponent) is Q
+    assert law == legendre_power_law(ProfileElement(P2, Q(1, 4), Q(1)))
+    assert ProfileElement(P2, 3, 2).mu == Q(2, 3)
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_chain_report_values_each_digit_once(p, monkeypatch):
     dom = PerfectPoly(p, "p-power")

@@ -109,11 +109,12 @@ class _Domain:
     """What the three domains share: coefficients modulo ``p^N``, read
     through :meth:`monomials` as (x-exponent, integer) pairs.
 
-    The parameter checks, the modulus and the six valuation, digit and
-    reduction methods are written once here, with the mixed-characteristic
-    formulas.  F_p is Z/p^1, so :class:`PerfectPoly` is the case N = 1, and
-    a p-adic digit is the x^0 monomial.  Every public method validates its
-    coefficient first; :meth:`monomials` only reads.
+    The parameter checks (p and N are ints, p is prime, N >= 1), the
+    modulus and the six valuation, digit and reduction methods are written
+    once here, with the mixed-characteristic formulas.  F_p is Z/p^1, so
+    :class:`PerfectPoly` is the case N = 1, and a p-adic digit is the x^0
+    monomial.  Every public method validates its coefficient first;
+    :meth:`monomials` only reads.
     """
 
     __slots__ = ()
@@ -122,6 +123,10 @@ class _Domain:
     denominators: str  # 'p-power' | 'any'
 
     def __post_init__(self):
+        for name in ("p", "N"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise DomainError(f"{name} must be an int, got {value!r}")
         _check_prime(self.p)
         if self.N < 1:
             raise DomainError(f"precision N must be positive, got {self.N}")

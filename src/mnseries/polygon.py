@@ -12,10 +12,11 @@ and multiplicative on sample grids.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from operator import itemgetter
 from typing import Callable, List, NamedTuple, Sequence, Tuple
 
 from .errors import ZeroSeriesError
@@ -94,16 +95,16 @@ class PLConvexFn:
         return self.nodes[-1][1]
 
     def value_at(self, x) -> Value:
-        """Evaluate; +oo left of the first node, constant beyond the last."""
+        """Evaluate, bisecting for the segment; +oo left of the first node,
+        constant beyond the last."""
         x = Fraction(x)
-        if x < self.x_first:
+        k = bisect_right(self.nodes, x, key=itemgetter(0))
+        if k == 0:
             return INF
-        if x >= self.x_last:
+        if k == len(self.nodes):
             return self.y_last
-        for (x1, y1), (x2, y2) in zip(self.nodes, self.nodes[1:]):
-            if x1 <= x <= x2:
-                return y1 + (y2 - y1) * (x - x1) / (x2 - x1)
-        raise AssertionError("unreachable")  # pragma: no cover
+        (x1, y1), (x2, y2) = self.nodes[k - 1], self.nodes[k]
+        return y1 + (y2 - y1) * (x - x1) / (x2 - x1)
 
     def translate(self, dx, dy) -> "PLConvexFn":
         dx, dy = Fraction(dx), Fraction(dy)
@@ -136,43 +137,29 @@ def _integer_coordinates(points) -> _Scaled:
 def lower_hull(points: Sequence[Tuple[Fraction, Fraction]]) -> PLConvexFn:
     """Nonincreasing lower convex hull of finite points with rational coords.
 
-    Takes the running-minimum envelope left to right, then a monotone-chain
-    lower hull; collinear interior points are dropped.  Both passes run on
-    integer coordinates (see :func:`_integer_coordinates`), O(n log n) for
-    the sort and O(n) after it.  The nodes are the original points, and the
-    polygon keeps the integers the passes computed for them.
+    One monotone-chain sweep on integer coordinates (see
+    :func:`_integer_coordinates`), O(n log n) for the sort and O(n) after
+    it.  A point no lower than the last node is skipped; any other pops the
+    nodes on or above its chord, so collinear interior points are dropped.
+    The nodes are the original points, and the polygon keeps their integers.
     """
     if not points:
         raise ValueError("need at least one point")
     xs, ys, dx, dy = _integer_coordinates(points)
-    # (X, Y, x, y): the scaled abscissa and running-minimum ordinate, and the
-    # original coordinates they stand for
-    enveloped: List[Tuple[int, int, Fraction, Fraction]] = []
+    hx: List[int] = []  # the nodes' scaled coordinates
+    hy: List[int] = []
+    nodes: List[Tuple[Fraction, Fraction]] = []
     for X, Y, k in sorted(zip(xs, ys, range(len(points)))):
-        x, y = points[k]
-        if enveloped and enveloped[-1][1] <= Y:
-            Y, y = enveloped[-1][1], enveloped[-1][3]
-        if enveloped and enveloped[-1][0] == X:
-            enveloped[-1] = (X, Y, x, y)
-        else:
-            enveloped.append((X, Y, x, y))
-    hull: List[Tuple[int, int, Fraction, Fraction]] = []
-    for pt in enveloped:
-        X, Y = pt[0], pt[1]
-        while len(hull) >= 2:
-            X1, Y1 = hull[-2][0], hull[-2][1]
-            X2, Y2 = hull[-1][0], hull[-1][1]
-            # drop the middle point when it sits on or above the chord
-            if (Y2 - Y1) * (X - X1) >= (Y - Y1) * (X2 - X1):
-                hull.pop()
-            else:
-                break
-        hull.append(pt)
-    # a trailing constant stretch collapses onto its first node
-    while len(hull) >= 2 and hull[-1][1] == hull[-2][1]:
-        hull.pop()
-    X, Y, x, y = zip(*hull)
-    return PLConvexFn._from_scaled(tuple(zip(x, y)), _Scaled(X, Y, dx, dy))
+        if hy and Y >= hy[-1]:
+            if X == hx[-1]:  # a later point at the node's abscissa lends it its x
+                nodes[-1] = (points[k][0], nodes[-1][1])
+            continue
+        while len(hx) >= 2 and (hy[-1] - hy[-2]) * (X - hx[-2]) >= (Y - hy[-2]) * (hx[-1] - hx[-2]):
+            del hx[-1], hy[-1], nodes[-1]
+        hx.append(X)
+        hy.append(Y)
+        nodes.append(tuple(points[k]))
+    return PLConvexFn._from_scaled(tuple(nodes), _Scaled(hx, hy, dx, dy))
 
 
 def newton_polygon(f: Series) -> PLConvexFn:

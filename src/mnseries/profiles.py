@@ -417,6 +417,13 @@ def _deviation_bound(i: int, target: Fraction) -> Fraction:
     return min(target / i, Fraction(1, i * i))
 
 
+def _target_index(i) -> int:
+    """A target node's index, which must be an integer >= 1 (a bool is not one)."""
+    if isinstance(i, bool) or not isinstance(i, (int, Fraction)) or i.denominator != 1 or i < 1:
+        raise ValueError(f"target index must be an integer >= 1, got {i!r}")
+    return int(i)
+
+
 @dataclass(frozen=True, slots=True)
 class ApproxCertificate:
     """Achieved deviations of a discrete approximation, node by node."""
@@ -445,12 +452,12 @@ def discretely_approximate(
     minimal denominator p^k satisfying
     ``|q_i - G(i)| <= min(G(i)/i, 1/i^2)``, which is o(G).  The
     certificate lists achieved node deviations and secant-slope deviations.
-    Increasing or non-convex targets are rejected with the violating
-    triple.
+    An index that is not an integer >= 1 raises ValueError; increasing or
+    non-convex targets are rejected with the violating triple.
     """
+    nodes = [(_target_index(i), Fraction(g)) for i, g in targets]
     if isinstance(domain, PadicDigits):
         raise ValueError("discrete approximation needs a polynomial coefficient domain")
-    nodes = [(int(i), Fraction(g)) for i, g in targets]
     if not nodes:
         raise ValueError("need at least one target node")
     if any(b[0] <= a[0] for a, b in zip(nodes, nodes[1:])):
@@ -547,7 +554,9 @@ def chain_report(
     profile is also materialized at the requested depth to confirm ideal
     membership and to sample the Legendre ratio of the realized polygon
     at s = 2^-4, ..., 2^-10.  Both read the one Newton polygon, so each
-    digit's coefficient valuation is computed once.
+    digit's coefficient valuation is computed once.  One pass over the
+    grid builds each exponent's profile and law and appends its pairs,
+    membership and ratios.
     """
     grid = [Fraction(m) for m in mu_grid]
     if any(not 0 < m < 1 for m in grid):
@@ -556,29 +565,21 @@ def chain_report(
         raise ValueError("grid must be strictly increasing")
     dom = domain if domain is not None else PerfectPoly(2, "p-power")
 
-    profiles = {m: ProfileElement.for_exponent(m, dom) for m in grid}
-    laws = {m: legendre_power_law(profiles[m]) for m in grid}
-
-    pairs = []
+    pairs, membership, ratios = [], [], []
     for idx, m in enumerate(grid):
+        profile = ProfileElement.for_exponent(m, dom)
+        law = legendre_power_law(profile)
         for lam in grid[idx + 1 :]:
-            cls = classify(laws[m], PowerLaw(Fraction(1), lam))
-            separated = cls.verdict == "omega"
-            pairs.append((m, lam, cls.verdict, separated))
-
-    membership = []
-    ratios = []
-    for m in grid:
+            verdict = classify(law, PowerLaw(Fraction(1), lam)).verdict
+            pairs.append((m, lam, verdict, verdict == "omega"))
         # one valuation per digit: the polygon's last ordinate is the least
         # coefficient valuation, so it is positive exactly when in_m(mat) holds
-        poly = newton_polygon(materialize(profiles[m], depth))
+        poly = newton_polygon(materialize(profile, depth))
         membership.append((m, poly.y_last > 0))
-        c_norm = float(laws[m].coeff)
-        rows = []
-        for s in RATIO_GRID:
-            value = float(legendre_eval(poly, s))
-            rows.append((s, value / (c_norm * float(s) ** float(m))))
-        ratios.append((m, tuple(rows)))
+        c_norm = float(law.coeff)
+        rows = tuple((s, float(legendre_eval(poly, s)) / (c_norm * float(s) ** float(m)))
+                     for s in RATIO_GRID)
+        ratios.append((m, rows))
 
     return ChainReport(tuple(grid), depth, tuple(pairs), tuple(membership), tuple(ratios))
 

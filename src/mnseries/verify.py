@@ -683,6 +683,8 @@ def suite_names() -> List[str]:
 def run_suite(name: str, cases: int, seed: int) -> SuiteResult:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; known: {', '.join(SUITES)}")
+    if not isinstance(cases, int) or isinstance(cases, bool) or cases < 1:
+        raise ValueError(f"the case count must be an int >= 1, got {cases!r}")
     rng = random.Random(f"{seed}:{name}")
     failures = SUITES[name](rng, cases)
     return SuiteResult(name, cases, tuple(failures))

@@ -1,7 +1,12 @@
 """Command-line interface: commands, formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import mnseries
 from mnseries.cli import main
 
 
@@ -306,3 +311,53 @@ def test_successive_calls_share_no_parser_state(capsys):
     assert code == 0 and out.startswith("usage: mnseries")
     assert run(capsys, "mul", "1")[0] == 1
     assert _shared_parser() is _shared_parser()
+
+
+def test_np_and_leg_json_bytes(capsys):
+    poly = "x^{2} + x*t + t^{2}"
+    code, out, _ = run(capsys, "np", poly, "--p", "3", "--format", "json")
+    assert code == 0
+    assert out == (
+        '[\n  {\n    "x": "0",\n    "y": "2"\n  },\n'
+        '  {\n    "x": "2",\n    "y": "0"\n  }\n]\n'
+    )
+    code, out, _ = run(capsys, "leg", poly, "--p", "3", "--s", "1/2", "--s", "3", "--format", "json")
+    assert code == 0
+    assert out == (
+        '[\n  {\n    "s": "1/2",\n    "value": "1"\n  },\n'
+        '  {\n    "s": "3",\n    "value": "2"\n  }\n]\n'
+    )
+
+
+def test_value_and_os_errors_exit_1(tmp_path, capsys):
+    code, out, err = run(capsys, "chain", "--mu", "2")
+    assert (code, out, err) == (1, "", "error: grid exponents must lie in (0, 1)\n")
+    missing = tmp_path / "missing" / "f.csv"
+    code, out, err = run(capsys, "np", "x", "--out", str(missing))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and str(missing) in err
+    assert not missing.parent.exists()
+
+
+def test_approx_target_index_must_be_positive(capsys):
+    code, out, err = run(capsys, "approx", "--target=0=1")
+    assert (code, out, err) == (1, "", "error: target index must be an integer >= 1, got 0\n")
+
+
+def test_approx_negative_target_index_exits_at_once():
+    # a negative index makes the deviation bound negative, so no digit meets
+    # it and an unchecked search never ends: the command runs in a child
+    # with a timeout
+    env = {**os.environ, "PYTHONPATH": str(Path(mnseries.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "mnseries.cli", "approx", "--target=-1=1"],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: target index must be an integer >= 1, got -1\n"
+
+
+def test_verify_case_count_must_be_positive(capsys):
+    code, out, err = run(capsys, "verify", "--cases", "-3")
+    assert (code, out) == (1, "")
+    assert err == "error: the case count must be an int >= 1, got -3\n"

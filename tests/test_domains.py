@@ -243,3 +243,25 @@ def test_residue_domain_built_once_per_prime_and_policy():
             assert doms[0].residue_domain == PerfectPoly(p, policy)
         assert PadicDigits(p).residue_domain is PadicDigits(p, 3).residue_domain
         assert PadicDigits(p).residue_domain == PerfectPoly(p)
+
+
+@pytest.mark.parametrize(
+    "make, args, name",
+    [
+        (PadicDigits, (2, 2.5), "N"),
+        (MixedPoly, (3, 2.5), "N"),
+        (MixedPoly, (3, True), "N"),
+        (PadicDigits, (2, True), "N"),
+        (PadicDigits, (2.0,), "p"),
+        (PerfectPoly, (2.0,), "p"),
+        (MixedPoly, (3.0, 4), "p"),
+        (PerfectPoly, (True,), "p"),
+        (PadicDigits, ("2",), "p"),
+        (MixedPoly, (4.0, 2.5), "p"),  # p before N, and before the prime test
+    ],
+)
+def test_domain_parameters_must_be_ints(make, args, name):
+    bad = dict(zip(("p", "N"), args))[name]
+    with pytest.raises(DomainError, match=f"^{name} must be an int, got {bad!r}$"):
+        make(*args)
+

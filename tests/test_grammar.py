@@ -177,3 +177,37 @@ def test_tokenizer_matches_reference_loop():
         assert tokens_of(text) == expected, text
         errors += not isinstance(expected, list)
     assert 0 < errors < len(corpus)
+
+
+# --- every ParseError names its cause and its position ---------------------
+
+
+@pytest.mark.parametrize(
+    "text, domain, mode, message, position",
+    [
+        ("x^", P3, Mode.FORMAL, "unexpected end of input", 2),
+        ("O(t^{2)", P3, Mode.FORMAL, "expected '}', found ')'", 6),
+        ("t^{x}", P3, Mode.FORMAL, "expected a number, found 'x'", 3),
+        ("t^{1/x}", P3, Mode.FORMAL, "expected a denominator, found 'x'", 5),
+        ("t^{1/0}", P3, Mode.FORMAL, "zero denominator", 5),
+        ("(x + t)", P3, Mode.FORMAL, "expected a coefficient monomial, found 't'", 5),
+        ("x +", P3, Mode.FORMAL, "empty term", 3),
+        ("t*t", P3, Mode.FORMAL, "repeated series variable 't'", 2),
+        ("(1)*p", PD2, Mode.ARITHMETIC, "polynomial coefficients need a polynomial domain", 0),
+        ("", P3, Mode.FORMAL, "empty series literal", 0),
+        ("O(t^{1}) + O(t^{2})", P3, Mode.FORMAL, "multiple precision terms", 11),
+        ("x t", P3, Mode.FORMAL, "trailing input 't'", 2),
+    ],
+)
+def test_parse_error_message_and_position(text, domain, mode, message, position):
+    with pytest.raises(ParseError) as err:
+        parse_series(text, domain, mode)
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position
+
+
+def test_parse_exponent_without_braces():
+    f = parse_series("t^2", P3, Mode.FORMAL)
+    assert f.support == (Q(2),)
+    assert f == parse_series("t^{2}", P3, Mode.FORMAL)
+    assert format_series(f) == "t^{2}"

@@ -8,16 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mnseries import (
+    INF,
     Mode,
     PadicDigits,
     PerfectPoly,
     PLConvexFn,
+    ProfileElement,
     Series,
     ZeroSeriesError,
     add,
     gauss_valuation,
     legendre_eval,
     lower_hull,
+    materialize,
     mul,
     newton_polygon,
     sup_distance,
@@ -466,3 +469,56 @@ def test_invalid_nodes_from_translate_and_hull():
         lower_hull([(Q(-1, 3), Q(2)), (Q(1), Q(1))])
     with pytest.raises(ValueError, match="^a polygon needs at least one node$"):
         PLConvexFn(())
+
+
+# --- bisected value_at and sup_distance against a walk along the segments --
+
+
+def reference_values(F, xs):
+    """F at ascending points by one linear walk along its segments, no bisection."""
+    values, j = [], 0
+    for x in xs:
+        if x < F.x_first:
+            values.append(INF)
+        elif x >= F.x_last:
+            values.append(F.y_last)
+        else:
+            while F.nodes[j + 1][0] < x:
+                j += 1
+            (x1, y1), (x2, y2) = F.nodes[j], F.nodes[j + 1]
+            values.append(y1 + (y2 - y1) * (x - x1) / (x2 - x1))
+    return values
+
+
+def reference_sup_distance(F, G):
+    xs = sorted({x for x, _ in F.nodes} | {x for x, _ in G.nodes})
+    return max(abs(a - b) for a, b in zip(reference_values(F, xs), reference_values(G, xs)))
+
+
+def _probe_points(F, rng):
+    """Points left of the first node, on every node, between nodes and past the last."""
+    xs = [x for x, _ in F.nodes]
+    probes = [xs[0] - 1, xs[0] - Q(1, 7), xs[-1] + Q(1, 3), xs[-1] + 10**6] + xs
+    for a, b in zip(xs, xs[1:]):
+        probes += [(a + b) / 2, a + (b - a) * Q(rng.randrange(1, 1000), 1000)]
+    return sorted(probes)
+
+
+def test_bisected_value_at_and_sup_distance_match_segment_walk():
+    rng = random.Random(1024)
+    pairs = []
+    for F in _seeded_polygons():
+        pts = [(F.x_first, Q(rng.randrange(0, 90)))]
+        pts += [(F.x_first + Q(rng.randrange(1, 60), rng.choice(_ANY_DENS)),
+                 Q(rng.randrange(0, 90), rng.choice((1, 2, 3)))) for _ in range(rng.randrange(0, 8))]
+        pairs.append((F, lower_hull(pts)))
+    dom = PerfectPoly(2, "p-power")
+    deep = [newton_polygon(materialize(ProfileElement.for_exponent(mu, dom), 1024))
+            for mu in (Q(1, 2), Q(3, 4))]
+    assert len(deep[0].nodes) == 1024
+    pairs += [(deep[0], deep[1]), (deep[0], deep[0].translate(0, Q(1, 3)))]
+    for F, G in pairs:
+        probes = _probe_points(F, rng)
+        assert [F.value_at(x) for x in probes] == reference_values(F, probes)
+        assert sup_distance(F, G) == reference_sup_distance(F, G) == sup_distance(G, F)
+    assert sup_distance(*pairs[-1]) == Q(1, 3)

@@ -1,11 +1,18 @@
 """Profiles, inverse Legendre constants, classification, chains, ideals."""
 
 import math
+import os
 import random
+import re
+import subprocess
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
+import mnseries
+import mnseries.profiles as profiles_module
 from mnseries import (
     INF,
     MixedPoly,
@@ -544,3 +551,63 @@ def test_polygon_last_ordinate_decides_membership():
         seen.add(in_m(f))
         assert (newton_polygon(f).y_last > 0) == in_m(f)
     assert seen == {True, False}
+
+
+# --- target indices of a discrete approximation ---------------------------
+
+
+@pytest.mark.parametrize("bad", [0, Q(3, 2), Q(0), True, 2.0, "2", None])
+def test_discrete_approximation_rejects_non_integer_indices(bad):
+    # an index is never truncated (3/2 is no node 1) and never reaches the
+    # deviation bound's division (0); it is checked before the domain and
+    # before the target values
+    for domain in (P2, PadicDigits(2)):
+        message = f"target index must be an integer >= 1, got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            discretely_approximate([(1, Q(1)), (bad, Q(1, 2)), (5, Q(-1))], domain)
+
+
+def test_discrete_approximation_accepts_integral_fraction_indices():
+    targets = [(1, Q(1)), (2, Q(1, 2)), (3, Q(1, 3))]
+    want = discretely_approximate(targets, P2)
+    assert discretely_approximate([(Q(i), g) for i, g in targets], P2) == want
+    assert all(type(i) is int for i, _, _, _ in want[1].nodes)
+
+
+def test_discrete_approximation_negative_index_fails_at_once():
+    # at i = -1 the deviation bound is negative, so no digit meets it and the
+    # digit search would never end: the call runs in a child with a timeout
+    code = (
+        "from fractions import Fraction\n"
+        "from mnseries import PerfectPoly, discretely_approximate\n"
+        "discretely_approximate([(-1, Fraction(1))], PerfectPoly(2, 'p-power'))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(mnseries.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr.rstrip().endswith("ValueError: target index must be an integer >= 1, got -1")
+
+
+# --- the digit rule's certificates move a wrong guess either way ----------
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_digit_certificates_correct_k_guesses_up_and_down(p, monkeypatch):
+    # ln c shifted by j ln p moves the float guess for k by -j, so the exact
+    # certificate must step k up (j > 0) or down (j < 0) to the true value;
+    # with no float guess for m, every m starts from iroot
+    dom = PerfectPoly(p, "p-power")
+    indices = [1, 2, 7, 100, 1023, Q(2 * p + 1, p), Q(10**6 + 1, p**3),
+               2**53 + 1, 10**30, Q(10**40 + 1, p**2)]
+    profiles = [ProfileElement.for_exponent(mu, dom)
+                for mu in (Q(1, 16), Q(1, 3), Q(1, 2), Q(2, 3), Q(15, 16))]
+    want = {(j, i): prof.digit_exponent(i) for j, prof in enumerate(profiles) for i in indices}
+    monkeypatch.setattr(profiles_module, "_FLOAT_GUESS_MAX", -math.inf)
+    for shift in (-2, -1, 1, 2):
+        for j, prof in enumerate(profiles):
+            rule = prof._rule
+            twin = ProfileElement(dom, prof.c, prof.r)
+            object.__setattr__(twin, "_rule", rule._replace(ln_c=rule.ln_c + shift * rule.ln_p))
+            for i in indices:
+                assert twin.digit_exponent(i) == want[j, i], (prof.mu, i, shift)

@@ -69,3 +69,9 @@ def test_reports_match_the_recorded_digests():
     for name in suite_names():
         report = format_report([run_suite(name, 15, 0)])
         assert hashlib.sha256(report.encode("utf-8")).hexdigest() == digests[name]["15"][0], name
+
+
+@pytest.mark.parametrize("bad", [-3, 0, True, 2.0, "5"])
+def test_case_count_must_be_a_positive_int(bad):
+    with pytest.raises(ValueError, match=f"^the case count must be an int >= 1, got {bad!r}$"):
+        run_suite("roundtrip", bad, 0)

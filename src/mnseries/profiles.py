@@ -208,12 +208,19 @@ def classify(F: PowerLaw, G: PowerLaw) -> AsymptoticClass:
 
 def _index_parts(i) -> Tuple[int, int]:
     """Numerator and denominator of a rational digit index, which must be at least 1."""
-    if not isinstance(i, (int, Fraction)):
+    if isinstance(i, bool) or not isinstance(i, (int, Fraction)):
         raise ValueError(f"digit index must be an int or a Fraction, got {i!r}")
     n, d = i.numerator, i.denominator
     if n < d:
         raise ValueError("digit indices start at 1")
     return n, d
+
+
+def _positive_integer(i, what: str) -> int:
+    """A target index or a depth, which must be an integer >= 1 (a bool is not one)."""
+    if isinstance(i, bool) or not isinstance(i, (int, Fraction)) or i.denominator != 1 or i < 1:
+        raise ValueError(f"{what} must be an integer >= 1, got {i!r}")
+    return int(i)
 
 
 GUARD_BITS = 12  # digit precision beyond the o(G) deviation bound, in bits
@@ -382,8 +389,7 @@ def materialize(profile: ProfileElement, up_to: int, step=1) -> Series:
     ``Series.make``.  A ``MixedPoly`` profile is canonicalized once.
     O(up_to / h) digits, each O(1) big-integer operations in their size.
     """
-    if up_to < 1:
-        raise ValueError("materialization depth must be at least 1")
+    up_to = _positive_integer(up_to, "depth")
     dom = profile.domain
     per_unit = _steps_per_unit(step, dom.p)
     mode = Mode.FORMAL if isinstance(dom, PerfectPoly) else Mode.ARITHMETIC
@@ -417,13 +423,6 @@ def _deviation_bound(i: int, target: Fraction) -> Fraction:
     return min(target / i, Fraction(1, i * i))
 
 
-def _target_index(i) -> int:
-    """A target node's index, which must be an integer >= 1 (a bool is not one)."""
-    if isinstance(i, bool) or not isinstance(i, (int, Fraction)) or i.denominator != 1 or i < 1:
-        raise ValueError(f"target index must be an integer >= 1, got {i!r}")
-    return int(i)
-
-
 @dataclass(frozen=True, slots=True)
 class ApproxCertificate:
     """Achieved deviations of a discrete approximation, node by node."""
@@ -455,7 +454,7 @@ def discretely_approximate(
     An index that is not an integer >= 1 raises ValueError; increasing or
     non-convex targets are rejected with the violating triple.
     """
-    nodes = [(_target_index(i), Fraction(g)) for i, g in targets]
+    nodes = [(_positive_integer(i, "target index"), Fraction(g)) for i, g in targets]
     if isinstance(domain, PadicDigits):
         raise ValueError("discrete approximation needs a polynomial coefficient domain")
     if not nodes:
@@ -558,6 +557,7 @@ def chain_report(
     grid builds each exponent's profile and law and appends its pairs,
     membership and ratios.
     """
+    depth = _positive_integer(depth, "depth")
     grid = [Fraction(m) for m in mu_grid]
     if any(not 0 < m < 1 for m in grid):
         raise ValueError("grid exponents must lie in (0, 1)")
@@ -597,11 +597,10 @@ def supremum_example(
     decrease toward the limit without reaching it.  Returns the term
     values for n = 1..depth together with the exact limit.
     """
+    depth = _positive_integer(depth, "depth")
     s = Fraction(s)
     if s <= 0:
         raise ValueError("s must be positive")
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
     rule = delta or (lambda n: Fraction(1, 2 * n))
     limit = 1 + 2 * s
     values: List[Fraction] = []

@@ -17,12 +17,13 @@ and re-expanding base p.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, List, Tuple
 
-from .domains import CoefficientDomain, PadicDigits, PerfectPoly
+from .domains import CoefficientDomain, PadicDigits, PerfectPoly, XPoly
 from .errors import ModeMismatchError, PrecisionLossError, ZeroSeriesError
 from .values import INF, Infinity, Value, as_exponent, as_gauss_param
 
@@ -56,7 +57,7 @@ class CarryTrace:
     (possibly through carrying) to the output index ``k``.  In Formal mode
     ``k = i + j`` always; in Arithmetic mode ``k`` ranges over the output
     support positions of the coset of ``i + j`` at or above ``i + j``.
-    Only the supports are stored; the entries are derived when first read.
+    Only the supports are stored; one pass derives the entries and their index when first read.
     """
 
     left: Tuple[Fraction, ...]
@@ -66,24 +67,31 @@ class CarryTrace:
     carried: bool
 
     @cached_property
-    def entries(self) -> Tuple[Tuple[Fraction, Fraction, Fraction], ...]:
-        out = []
+    def _derived(self) -> Tuple[tuple, dict]:
+        cosets: dict = {}  # coset gamma -> its output indices, ascending
+        for k in self.product:
+            cosets.setdefault(k - k.numerator // k.denominator, []).append(k)
+        entries, by_index = [], {}
         for i in self.left:
             for j in self.right:
                 lo = i + j
                 if lo >= self.prec:
                     continue
-                for k in self.product if self.carried else (lo,):
-                    if k >= lo and (k - lo).denominator == 1:
-                        out.append((i, j, k))
-        return tuple(out)
+                ks = cosets.get(lo - lo.numerator // lo.denominator, []) if self.carried else [lo]
+                for k in ks[bisect_left(ks, lo):]:
+                    entries.append((i, j, k))
+                    by_index.setdefault(k, []).append((i, j))
+        return tuple(entries), by_index
+
+    @property
+    def entries(self) -> Tuple[Tuple[Fraction, Fraction, Fraction], ...]:
+        return self._derived[0]
 
     def contributors_to(self, k: Fraction) -> Tuple[Tuple[Fraction, Fraction], ...]:
-        return tuple((i, j) for i, j, kk in self.entries if kk == k)
+        return tuple(self._derived[1].get(k, ()))
 
     def pairs_up_to(self, k: Fraction) -> Tuple[Tuple[Fraction, Fraction], ...]:
-        seen = sorted({(i, j) for i, j, kk in self.entries if kk <= k})
-        return tuple(seen)
+        return tuple(sorted({ij for kk, ijs in self._derived[1].items() if kk <= k for ij in ijs}))
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,8 +115,8 @@ class Series:
         """Build a series, merging duplicate exponents and dropping zeros.
 
         Terms at or beyond ``prec`` are absorbed by the frontier.  In
-        Arithmetic mode the result is canonicalized unless ``raw`` is set
-        (raw construction is what :func:`canonicalize` itself consumes).
+        Arithmetic mode the carry builds the canonical result from the
+        merged terms, unless ``raw`` asks for a non-canonical series.
         """
         if mode is Mode.ARITHMETIC and isinstance(domain, PerfectPoly):
             raise ModeMismatchError(
@@ -127,11 +135,10 @@ class Series:
                 acc[e] = domain.add(acc[e], a)
             else:
                 acc[e] = a
-        clean = tuple(sorted((e, a) for e, a in acc.items() if not domain.is_zero(a)))
-        out = cls(domain, mode, clean, prec)
         if mode is Mode.ARITHMETIC and not raw:
-            out = canonicalize(out)
-        return out
+            return _carry(domain, acc.items(), prec)
+        clean = tuple(sorted((e, a) for e, a in acc.items() if not domain.is_zero(a)))
+        return cls(domain, mode, clean, prec)
 
     @property
     def is_zero(self) -> bool:
@@ -201,7 +208,16 @@ def _base_p_digits(n: int, p: int) -> List[int]:
 
 
 def canonicalize(f: Series) -> Series:
-    """Rewrite an Arithmetic-mode series in canonical digit form.
+    """Canonical digit form of an Arithmetic-mode series: the carry :meth:`Series.make` runs."""
+    if f.mode is not Mode.ARITHMETIC:
+        raise ModeMismatchError("canonicalize applies to arithmetic-mode series")
+    if isinstance(f.domain, PerfectPoly):
+        raise ModeMismatchError("arithmetic mode over a characteristic-p domain")
+    return _carry(f.domain, f.terms, f.prec)
+
+
+def _carry(dom: CoefficientDomain, terms: Iterable, prec: Value) -> Series:
+    """The canonical arithmetic series of (exponent, coefficient) pairs below ``prec``.
 
     The support is grouped by coset ``gamma + Z`` with ``gamma`` in [0, 1);
     for each x-exponent ``e`` (a p-adic digit is the ``x^0`` monomial) the
@@ -212,15 +228,10 @@ def canonicalize(f: Series) -> Series:
     represented modulo p^N and raises :class:`PrecisionLossError`, naming
     the lowest such index (on a tie, the smallest x-exponent).
     """
-    if f.mode is not Mode.ARITHMETIC:
-        raise ModeMismatchError("canonicalize applies to arithmetic-mode series")
-    dom = f.domain
-    if isinstance(dom, PerfectPoly):
-        raise ModeMismatchError("arithmetic mode over a characteristic-p domain")
     p = dom.p
     padic = isinstance(dom, PadicDigits)
     totals: dict = {}  # (coset gamma, x-exponent) -> exact integer
-    for e, a in f.terms:
+    for e, a in terms:
         n = e.numerator // e.denominator
         for xe, c in dom.monomials(a):
             key = (e - n, xe)
@@ -230,7 +241,7 @@ def canonicalize(f: Series) -> Series:
     for (gamma, xe), total in totals.items():
         for offset, d in enumerate(_base_p_digits(total, p)):
             k = gamma + offset
-            if d == 0 or k >= f.prec:
+            if d == 0 or k >= prec:
                 continue
             if offset >= dom.N:
                 lost.append((k, xe, offset, gamma))  # the lowest one of its coset
@@ -242,8 +253,8 @@ def canonicalize(f: Series) -> Series:
             f"digit at index {k} sits at offset {offset} within its coset "
             f"{gamma} + Z, beyond the p^{dom.N} modulus"
         )
-    out_terms = [(k, monos[0][1] if padic else dom.poly(monos)) for k, monos in digits.items()]
-    return Series.make(dom, Mode.ARITHMETIC, out_terms, f.prec, raw=True)
+    out = [(k, ms[0][1] if padic else XPoly(tuple(sorted(ms)))) for k, ms in sorted(digits.items())]
+    return Series(dom, Mode.ARITHMETIC, tuple(out), prec)
 
 
 def term_values(f: Series, s) -> List[Tuple[Fraction, Value]]:

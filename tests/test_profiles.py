@@ -479,7 +479,7 @@ def test_profile_identity_ignores_precomputed_rule():
 
 def test_digit_index_must_be_rational():
     profile = ProfileElement.for_exponent(Q(1, 2), P2)
-    for bad in (1.5, 2.0, "2", None):
+    for bad in (1.5, 2.0, "2", None, True, False):
         with pytest.raises(ValueError, match=f"got {bad!r}"):
             profile.digit_exponent(bad)
         with pytest.raises(ValueError, match=f"got {bad!r}"):
@@ -553,7 +553,24 @@ def test_polygon_last_ordinate_decides_membership():
     assert seen == {True, False}
 
 
-# --- target indices of a discrete approximation ---------------------------
+# --- depths and target indices -------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [True, False, 0, -2, 2.5, Q(5, 2), "3", None])
+def test_depth_must_be_an_integer_at_least_one(bad):
+    # checked before any work: the bad grid and the bad s behind it go unread
+    message = re.escape(f"depth must be an integer >= 1, got {bad!r}")
+    profile = ProfileElement.for_exponent(Q(1, 2), P2)
+    for call in (lambda: materialize(profile, bad),
+                 lambda: chain_report([Q(3, 2)], depth=bad),
+                 lambda: supremum_example(-1, bad)):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
+
+def test_integral_fraction_depth_is_an_int():
+    report = chain_report([Q(1, 2)], depth=Q(4))
+    assert report == chain_report([Q(1, 2)], depth=4) and type(report.depth) is int
 
 
 @pytest.mark.parametrize("bad", [0, Q(3, 2), Q(0), True, 2.0, "2", None])

@@ -1,6 +1,7 @@
 """Series arithmetic, carrying, Gauss valuations, and witness operations."""
 
 import random
+from dataclasses import fields
 from fractions import Fraction as Q
 
 import pytest
@@ -16,6 +17,7 @@ from mnseries import (
     PerfectPoly,
     PrecisionLossError,
     Series,
+    XPoly,
     ZeroSeriesError,
     add,
     argnorm,
@@ -126,6 +128,8 @@ def test_mul_formal_cross_terms_cancel():
         (Q(1), Q(0), Q(1)),
         (Q(1), Q(1), Q(2)),
     }
+    # index 1 cancelled in the product, but both of its pairs fed it
+    assert trace.contributors_to(Q(1)) == ((Q(0), Q(1)), (Q(1), Q(0)))
 
 
 def test_mul_matches_naive_convolution_oracle():
@@ -228,14 +232,16 @@ def test_derived_trace_matches_eager_reference(dom, mode):
         f, g = _random_factor(rng, dom, mode), _random_factor(rng, dom, mode)
         prod, trace = mul(f, g)
         assert "entries" not in vars(trace)  # mul itself builds no entries
+        assert set(vars(trace)) == {fld.name for fld in fields(trace)}  # nor their index
         expected = eager_trace_entries(f, g, prod)
         assert trace.entries == expected
         assert trace.entries is trace.entries  # derived once, then kept
         outside = max(prod.support, default=Q(0)) + Q(1, 7)
-        for k in prod.support + (outside,):
+        # int keys name the integer indices too
+        for k in prod.support + (outside,) + tuple(range(int(outside) + 2)):
             assert trace.contributors_to(k) == tuple((i, j) for i, j, kk in expected if kk == k)
-        if prod.support:
-            top = prod.support[-1]
+        before = min(prod.support, default=Q(0)) - Q(1, 7)
+        for top in prod.support + (before, outside):
             below = {(i, j) for i, j, kk in expected if kk <= top}
             assert trace.pairs_up_to(top) == tuple(sorted(below))
 
@@ -274,6 +280,63 @@ def test_canonicalize_matches_integer_expansion():
         n = rng.randrange(1, 10**6)
         f = Series.make(dom, Mode.ARITHMETIC, [(Q(0), n)], raw=True)
         assert canonicalize(f).terms == base_p_expansion(n, p)
+
+
+def _coset_integers(terms, p, prec):
+    """Oracle: one exact integer per (coset, x-exponent) of raw terms below ``prec``."""
+    acc = {}
+    for e, monos in terms:
+        if e >= prec:
+            continue
+        n = e.numerator // e.denominator
+        for xe, c in monos:
+            acc[e - n, xe] = acc.get((e - n, xe), 0) + c * p**n
+    return acc
+
+
+def _expanded(acc, p, prec):
+    """Oracle: the base-p digits of each coset integer, as sorted MixedPoly terms."""
+    digits = {}
+    for (gamma, xe), total in acc.items():
+        offset = 0
+        while total and gamma + offset < prec:
+            total, d = divmod(total, p)
+            if d:
+                digits.setdefault(gamma + offset, []).append((xe, d))
+            offset += 1
+    return tuple((k, XPoly(tuple(sorted(digits[k])))) for k in sorted(digits))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_mixed_carry_matches_coset_integer_oracle(p):
+    # terms share exponents within and across coefficients; the carry builds
+    # each digit itself, so .terms pins the index order and the monomial order
+    dom, prec = MixedPoly(p, 32, "p-power"), Q(12)
+    rng = random.Random(f"mixed-carry:{p}")
+    xexps = [Q(n, d) for d in (1, p) for n in range(4)]
+
+    def raw():  # some exponents lie at or past the frontier 12
+        exps = [Q(rng.randrange(13 * d), d) for d in rng.choices((1, p, p * p), k=5)]
+        return [(rng.choice(exps), [(rng.choice(xexps), rng.randrange(1, p**4))
+                                    for _ in range(rng.randrange(1, 4))])
+                for _ in range(rng.randrange(1, 9))]
+
+    for _ in range(40):
+        ta, tb = raw(), raw()
+        f = Series.make(dom, Mode.ARITHMETIC, [(e, dom.poly(m)) for e, m in ta], prec)
+        g = Series.make(dom, Mode.ARITHMETIC, [(e, dom.poly(m)) for e, m in tb], prec)
+        ia, ib = _coset_integers(ta, p, prec), _coset_integers(tb, p, prec)
+        assert f.terms == _expanded(ia, p, prec)
+        assert g.terms == _expanded(ib, p, prec)
+        prod = {}
+        for (ga, xa), va in ia.items():
+            for (gb, xb), vb in ib.items():
+                carry = 1 if ga + gb >= 1 else 0
+                key = (ga + gb - carry, xa + xb)
+                prod[key] = prod.get(key, 0) + va * vb * p**carry
+        fg, _ = mul(f, g)
+        assert fg.prec == min(prec + g.order_bound(), prec + f.order_bound())
+        assert fg.terms == _expanded(prod, p, fg.prec)
 
 
 def test_canonicalize_requires_arithmetic_mode():

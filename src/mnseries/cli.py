@@ -186,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot.add_argument("--depth", type=int, default=128)
     _add_series_flags(p_plot)
     _add_output_flags(p_plot, formats=("csv", "svg", "json"))
-    p_plot.set_defaults(format="csv")
+    p_plot.set_defaults(format=None)  # csv for np and leg; chain prints json
 
     return parser
 
@@ -274,8 +274,6 @@ def _cmd_canon(args) -> int:
 
 def _cmd_approx(args) -> int:
     domain = _domain_of(args)
-    if isinstance(domain, PadicDigits):
-        domain = PerfectPoly(args.p, "p-power")
     if args.target:
         series, cert = discretely_approximate(args.target, domain)
         _emit(certificate_text(cert) + "series: " + format_series(series) + "\n", args.out)
@@ -327,8 +325,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_plot(args) -> int:
     if args.what == "chain":
+        if args.format not in (None, "json"):
+            raise MNSeriesError(f"plot chain prints json, not {args.format}")
         args.format = "json"
         return _cmd_chain(args)
+    args.format = args.format or "csv"
     if args.series is None:
         raise MNSeriesError(f"plot {args.what} needs a series literal")
     if args.what == "np":

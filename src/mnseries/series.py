@@ -110,35 +110,17 @@ class Series:
         mode: Mode,
         terms: Iterable[Tuple[object, object]] = (),
         prec: Value = INF,
-        raw: bool = False,
     ) -> "Series":
-        """Build a series, merging duplicate exponents and dropping zeros.
+        """Build a series from outside terms, merging duplicate exponents and dropping zeros.
 
-        Terms at or beyond ``prec`` are absorbed by the frontier.  In
-        Arithmetic mode the carry builds the canonical result from the
-        merged terms, unless ``raw`` asks for a non-canonical series.
+        Every term is checked and coerced into the domain, including terms
+        at or beyond ``prec``, which the frontier then absorbs.  In
+        Arithmetic mode the carry builds the canonical result.
         """
-        if mode is Mode.ARITHMETIC and isinstance(domain, PerfectPoly):
-            raise ModeMismatchError(
-                "arithmetic (p-adic) mode needs a mixed-characteristic domain; "
-                "PerfectPoly has characteristic p"
-            )
         if not isinstance(prec, Infinity):
             prec = as_exponent(prec)
-        acc: dict = {}
-        for e, a in terms:
-            e = as_exponent(e)
-            if e >= prec:
-                continue
-            a = domain.coerce(a)
-            if e in acc:
-                acc[e] = domain.add(acc[e], a)
-            else:
-                acc[e] = a
-        if mode is Mode.ARITHMETIC and not raw:
-            return _carry(domain, acc.items(), prec)
-        clean = tuple(sorted((e, a) for e, a in acc.items() if not domain.is_zero(a)))
-        return cls(domain, mode, clean, prec)
+        checked = ((as_exponent(e), domain.coerce(a)) for e, a in terms)
+        return _assemble(domain, mode, checked, prec)
 
     @property
     def is_zero(self) -> bool:
@@ -162,7 +144,9 @@ class Series:
         return self.domain.zero()
 
     def with_prec(self, prec: Value) -> "Series":
-        return Series.make(self.domain, self.mode, self.terms, prec, raw=True)
+        if not isinstance(prec, Infinity):
+            prec = as_exponent(prec)
+        return Series(self.domain, self.mode, tuple(t for t in self.terms if t[0] < prec), prec)
 
     def __repr__(self) -> str:  # avoid importing the grammar module here
         parts = " + ".join(f"[{a!r}]r^{e}" for e, a in self.terms) or "0"
@@ -177,11 +161,31 @@ def _check_compatible(f: Series, g: Series) -> None:
         raise ModeMismatchError(f"mode mismatch: {f.mode.value} vs {g.mode.value}")
 
 
+def _assemble(dom: CoefficientDomain, mode: Mode, terms: Iterable, prec: Value) -> Series:
+    """The series of checked (exponent, coefficient) pairs: equal exponents
+    below ``prec`` are folded with ``dom.add``, then carried in Arithmetic
+    mode, or stripped of zeros and sorted in Formal mode."""
+    if mode is Mode.ARITHMETIC and isinstance(dom, PerfectPoly):
+        raise ModeMismatchError("arithmetic (p-adic) mode needs a mixed-characteristic "
+                                "domain; PerfectPoly has characteristic p")
+    acc: dict = {}
+    for e, a in terms:
+        if e >= prec:
+            continue
+        if e in acc:
+            acc[e] = dom.add(acc[e], a)
+        else:
+            acc[e] = a
+    if mode is Mode.ARITHMETIC:
+        return _carry(dom, acc.items(), prec)
+    clean = sorted((e, a) for e, a in acc.items() if not dom.is_zero(a))
+    return Series(dom, mode, tuple(clean), prec)
+
+
 def add(f: Series, g: Series) -> Series:
     """Coefficient-wise sum; re-canonicalized (carried) in Arithmetic mode."""
     _check_compatible(f, g)
-    prec = min(f.prec, g.prec)
-    return Series.make(f.domain, f.mode, list(f.terms) + list(g.terms), prec)
+    return _assemble(f.domain, f.mode, f.terms + g.terms, min(f.prec, g.prec))
 
 
 def mul(f: Series, g: Series) -> Tuple[Series, CarryTrace]:
@@ -194,7 +198,7 @@ def mul(f: Series, g: Series) -> Tuple[Series, CarryTrace]:
     prec = min(f.prec + g.order_bound(), g.prec + f.order_bound())
     dom = f.domain
     terms = [(i + j, dom.mul(a, b)) for i, a in f.terms for j, b in g.terms if i + j < prec]
-    result = Series.make(dom, f.mode, terms, prec)
+    result = _assemble(dom, f.mode, terms, prec)
     carried = f.mode is Mode.ARITHMETIC
     return result, CarryTrace(f.support, g.support, result.support, prec, carried)
 
@@ -295,11 +299,9 @@ def argnorm(f: Series, s) -> Fraction:
 def restrict(f: Series, lo, hi, threshold: Value, s) -> Series:
     """Sub-series with index in [lo, hi) whose term value is <= threshold."""
     lo = Fraction(lo)
-    kept = []
-    for (i, a), (_, v) in zip(f.terms, term_values(f, s)):
-        if lo <= i and i < hi and v <= threshold:
-            kept.append((i, a))
-    return Series.make(f.domain, f.mode, kept, f.prec, raw=True)
+    kept = tuple((i, a) for (i, a), (_, v) in zip(f.terms, term_values(f, s))
+                 if lo <= i and i < hi and v <= threshold)
+    return Series(f.domain, f.mode, kept, f.prec)
 
 
 def box_witness(f: Series, s) -> Tuple[Fraction, Fraction]:
@@ -366,12 +368,9 @@ def localize(f: Series, g: Series, s) -> Tuple[Tuple[Series, Series], Value]:
     def window(h: Series, eps: Fraction) -> Tuple[Series, Value]:
         values = term_values(h, s)
         a_star, v = _lowest(values)
-        kept = [
-            (i, a)
-            for (i, a), (_, w) in zip(h.terms, values)
-            if a_star - eps < i and i <= a_star and w <= v + delta
-        ]
-        return Series.make(h.domain, h.mode, kept, h.prec, raw=True), v
+        kept = tuple((i, a) for (i, a), (_, w) in zip(h.terms, values)
+                     if a_star - eps < i and i <= a_star and w <= v + delta)
+        return Series(h.domain, h.mode, kept, h.prec), v
 
     f_loc, vf = window(f, eps_bar_f)
     g_loc, vg = window(g, eps_bar_g)

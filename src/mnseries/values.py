@@ -57,7 +57,6 @@ class Infinity:
 INF = Infinity()
 
 Value = Union[Fraction, Infinity]
-Exponent = Fraction
 
 
 def is_finite(v: Value) -> bool:

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import mnseries
 from mnseries.cli import main
 
@@ -211,6 +213,24 @@ def test_approx_requires_input(capsys):
     assert code == 1 and "error:" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--mu", "1/2", "--domain", "padic"], "profiles need a polynomial coefficient domain"),
+    (["--target", "1=1", "--domain", "padic"], "discrete approximation needs a polynomial"),
+    (["--target", "1=1", "--mode", "arithmetic"], "discrete approximation needs a polynomial"),
+])
+def test_approx_rejects_a_padic_domain(capsys, argv, message):
+    code, out, err = run(capsys, "approx", *argv)
+    assert code == 1 and out == "" and message in err
+
+
+def test_approx_mixed_profile_prints_a_p_series(capsys):
+    code, out, _ = run(capsys, "approx", "--mode", "arithmetic", "--domain", "mixed",
+                       "--mu", "1/2", "--depth", "4")
+    assert code == 0
+    assert out.splitlines()[1].startswith("series: x^{1/4}*p + ")
+    assert out.endswith(" + O(p^{5})\n")
+
+
 def test_chain_text_and_json(capsys):
     code, out, _ = run(capsys, "chain", "--mu", "1/4", "--mu", "1/2", "--depth", "8")
     assert code == 0
@@ -257,6 +277,19 @@ def test_plot_chain_prints_chain_json(capsys):
     code, plotted, _ = run(capsys, "plot", "chain", *argv)
     assert code == 0
     assert plotted == run(capsys, "chain", *argv, "--format", "json")[1]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "svg"])
+def test_plot_chain_rejects_csv_and_svg(capsys, fmt):
+    code, out, err = run(capsys, "plot", "chain", "--mu", "1/2", "--format", fmt)
+    assert code == 1 and out == ""
+    assert f"plot chain prints json, not {fmt}" in err
+
+
+def test_plot_np_defaults_to_csv(capsys):
+    code, out, _ = run(capsys, "plot", "np", "x^{2} + x*t + t^{2}", "--p", "3")
+    assert code == 0
+    assert out == run(capsys, "np", "x^{2} + x*t + t^{2}", "--p", "3", "--format", "csv")[1]
 
 
 def test_plot_leg_csv_deterministic(capsys):

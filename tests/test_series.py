@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from mnseries import (
     INF,
+    DomainError,
     MixedPoly,
     Mode,
     ModeMismatchError,
@@ -93,6 +94,32 @@ def test_mode_mismatch_rejected():
     g = Series.make(PadicDigits(3), Mode.ARITHMETIC, [(Q(0), 1)])
     with pytest.raises(ModeMismatchError):
         add(f, g)
+
+
+# --- the construction boundary ------------------------------------------
+
+
+def test_make_rejects_malformed_input():
+    with pytest.raises(ValueError, match="nonnegative"):
+        Series.make(P2, Mode.ARITHMETIC, [(Q(-1), 1)])
+    with pytest.raises(ValueError, match="nonnegative"):
+        Series.make(P2, Mode.ARITHMETIC, [(Q(0), 1)], prec=Q(-1))
+    dom = PerfectPoly(2, "p-power")
+    with pytest.raises(DomainError, match="not a power of p"):
+        Series.make(dom, Mode.FORMAL, [(Q(1), XPoly(((Q(1, 3), 1),)))], prec=Q(3))
+    with pytest.raises(DomainError, match="cannot coerce str"):
+        Series.make(P2, Mode.ARITHMETIC, [(Q(0), "1")])
+    with pytest.raises(ValueError, match="nonnegative"):
+        Series.make(P2, Mode.ARITHMETIC, [(Q(0), 1)]).with_prec(-1)
+
+
+@pytest.mark.parametrize("dom, mode, coeff", [
+    (PadicDigits(2), Mode.ARITHMETIC, "junk"),
+    (PerfectPoly(2, "p-power"), Mode.FORMAL, XPoly(((Q(1, 3), 1),))),
+])
+def test_make_checks_terms_past_the_frontier(dom, mode, coeff):
+    with pytest.raises(DomainError):
+        Series.make(dom, mode, [(5, coeff)], prec=3)
 
 
 # --- add ------------------------------------------------------------------
@@ -246,17 +273,54 @@ def test_derived_trace_matches_eager_reference(dom, mode):
             assert trace.pairs_up_to(top) == tuple(sorted(below))
 
 
+_FACTOR_DOMAINS = [
+    (PerfectPoly(3, "p-power"), Mode.FORMAL),
+    (PadicDigits(2), Mode.ARITHMETIC),
+    (PadicDigits(3), Mode.FORMAL),
+    (MixedPoly(2, 32, "p-power"), Mode.ARITHMETIC),
+]
+
+
+@pytest.mark.parametrize("dom, mode", _FACTOR_DOMAINS)
+def test_mul_and_add_match_make_on_the_same_terms(dom, mode):
+    rng = random.Random(f"make-differential:{dom}:{mode.value}")
+    for _ in range(40):
+        f, g = _random_factor(rng, dom, mode), _random_factor(rng, dom, mode)
+        prec = min(f.prec + g.order_bound(), g.prec + f.order_bound())
+        pairs = [(i + j, dom.mul(a, b)) for i, a in f.terms for j, b in g.terms]
+        assert mul(f, g)[0] == Series.make(dom, mode, pairs, prec)
+        assert add(f, g) == Series.make(dom, mode, f.terms + g.terms, min(f.prec, g.prec))
+
+
+@pytest.mark.parametrize("dom, mode", _FACTOR_DOMAINS)
+def test_library_built_terms_are_not_coerced_again(dom, mode, monkeypatch):
+    rng = random.Random(f"no-coerce:{dom}:{mode.value}")
+    f, g = _random_factor(rng, dom, mode), _random_factor(rng, dom, mode)
+    while f.is_zero or g.is_zero:  # localize needs nonzero factors
+        f, g = _random_factor(rng, dom, mode), _random_factor(rng, dom, mode)
+    coerce, calls = type(dom).coerce, []
+    monkeypatch.setattr(type(dom), "coerce", lambda self, a: calls.append(a) or coerce(self, a))
+    mul(f, g)
+    add(f, g)
+    f.with_prec(Q(2))
+    restrict(f, 0, Q(6), gauss_valuation(f, 1)[0] + 2, 1)
+    localize(f, g, 1)
+    assert calls == []
+    Series.make(dom, mode, f.terms, f.prec)  # the patch does see the boundary
+    assert len(calls) == len(f.terms)
+
+
 # --- canonicalize ---------------------------------------------------------
 
 
 def test_canonicalize_spec_cosets():
-    f = Series.make(P2, Mode.ARITHMETIC, [(Q(1, 2), 3), (Q(0), 1)], raw=True)
+    f = Series(P2, Mode.ARITHMETIC, ((Q(0), 1), (Q(1, 2), 3)), INF)
     g = canonicalize(f)
     assert g.terms == ((Q(0), 1), (Q(1, 2), 1), (Q(3, 2), 1))
 
 
 def test_canonicalize_single_carry():
-    f = Series.make(PadicDigits(3), Mode.ARITHMETIC, [(Q(0), 3)], raw=True)
+    f = Series(PadicDigits(3), Mode.ARITHMETIC, ((Q(0), 3),), INF)
     assert canonicalize(f).terms == ((Q(1), 1),)
 
 
@@ -278,7 +342,7 @@ def test_canonicalize_matches_integer_expansion():
         p = rng.choice([2, 3, 5])
         dom = PadicDigits(p)
         n = rng.randrange(1, 10**6)
-        f = Series.make(dom, Mode.ARITHMETIC, [(Q(0), n)], raw=True)
+        f = Series(dom, Mode.ARITHMETIC, ((Q(0), n),), INF)
         assert canonicalize(f).terms == base_p_expansion(n, p)
 
 
@@ -347,13 +411,13 @@ def test_canonicalize_requires_arithmetic_mode():
 
 def test_precision_loss_raises():
     dom = PadicDigits(2, 3)
-    f = Series.make(dom, Mode.ARITHMETIC, [(Q(0), 7)], raw=True)  # 7 = 111_2 fits
+    f = Series(dom, Mode.ARITHMETIC, ((Q(0), 7),), INF)  # 7 = 111_2 fits
     assert canonicalize(f).support == (Q(0), Q(1), Q(2))
-    g = Series.make(dom, Mode.ARITHMETIC, [(Q(2), 2)], raw=True)  # 2*p^2 = p^3
+    g = Series(dom, Mode.ARITHMETIC, ((Q(2), 2),), INF)  # 2*p^2 = p^3
     with pytest.raises(PrecisionLossError):
         canonicalize(g)
     # the same carry beyond the frontier is absorbed instead
-    h = Series.make(dom, Mode.ARITHMETIC, [(Q(2), 2)], prec=Q(3), raw=True)
+    h = Series(dom, Mode.ARITHMETIC, ((Q(2), 2),), Q(3))
     assert canonicalize(h).is_zero
 
 
@@ -376,8 +440,7 @@ def test_precision_loss_names_the_lowest_overflowing_digit(dom):
     # coset 1/2 + Z sums to 3 + 3*2 = 1001_2, whose top digit lands at index 7/2;
     # coset 0 + Z sums to 3*2 = 110_2, whose top digit lands at the lower index 2
     three = dom.coerce(3) if isinstance(dom, PadicDigits) else dom.x_power(1, 3)
-    f = Series.make(dom, Mode.ARITHMETIC, [(Q(1, 2), three), (Q(1), three), (Q(3, 2), three)],
-                    raw=True)
+    f = Series(dom, Mode.ARITHMETIC, ((Q(1, 2), three), (Q(1), three), (Q(3, 2), three)), INF)
     with pytest.raises(PrecisionLossError, match=r"^digit at index 2 sits at offset 2 "
                        r"within its coset 0 \+ Z, beyond the p\^2 modulus$"):
         canonicalize(f)

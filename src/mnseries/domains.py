@@ -149,14 +149,14 @@ class _Domain:
         """min over monomials of s * ord_p(c_e) + e."""
         self.validate(a)
         p = self.p
-        values = []
-        for e, c in self.monomials(a):
-            if c % p:
-                values.append(e)
-            else:
-                v = Fraction(s) * ordp(c, p)
-                values.append(v + e if e else v)  # a p-adic digit sits at e = 0
-        return min(values, default=INF)
+        best = INF
+        for e, c in self.monomials(a):  # ascending e
+            if c % p:  # no later monomial, at e' > e, can go below e
+                return e if best is INF or e < best else best
+            v = Fraction(s) * ordp(c, p)
+            v = v + e if e else v  # a p-adic digit sits at e = 0
+            best = v if best is INF or v < best else best
+        return best
 
     def is_canonical_digit(self, a) -> bool:
         """True when p does not divide the coefficient (some monomial survives mod p)."""

@@ -21,7 +21,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, List, Tuple
+from math import inf, lcm
+from typing import Iterable, Iterator, List, Tuple, Union
 
 from .domains import CoefficientDomain, PadicDigits, PerfectPoly, XPoly
 from .errors import ModeMismatchError, PrecisionLossError, ZeroSeriesError
@@ -56,8 +57,8 @@ class CarryTrace:
     ``i`` of the left factor and ``j`` of the right factor contributes
     (possibly through carrying) to the output index ``k``.  In Formal mode
     ``k = i + j`` always; in Arithmetic mode ``k`` ranges over the output
-    support positions of the coset of ``i + j`` at or above ``i + j``.
-    Only the supports are stored; one pass derives the entries and their index when first read.
+    support positions of the coset of ``i + j`` at or above ``i + j``.  Only the supports are
+    stored; on first read, one pass on integer numerators derives the entries and their index.
     """
 
     left: Tuple[Fraction, ...]
@@ -68,17 +69,21 @@ class CarryTrace:
 
     @cached_property
     def _derived(self) -> Tuple[tuple, dict]:
-        cosets: dict = {}  # coset gamma -> its output indices, ascending
+        den, stop = _common(self.left + self.right + self.product, self.prec)
+        cosets: dict = {}  # coset, as a numerator mod den -> [(numerator, output index)], ascending
         for k in self.product:
-            cosets.setdefault(k - k.numerator // k.denominator, []).append(k)
+            num = k.numerator * (den // k.denominator)
+            cosets.setdefault(num % den, []).append((num, k))
+        right = [(j, j.numerator * (den // j.denominator)) for j in self.right]
         entries, by_index = [], {}
         for i in self.left:
-            for j in self.right:
-                lo = i + j
-                if lo >= self.prec:
+            ni = i.numerator * (den // i.denominator)
+            for j, nj in right:
+                lo = ni + nj
+                if lo >= stop:
                     continue
-                ks = cosets.get(lo - lo.numerator // lo.denominator, []) if self.carried else [lo]
-                for k in ks[bisect_left(ks, lo):]:
+                nks = cosets.get(lo % den, []) if self.carried else [(lo, i + j)]
+                for _, k in nks[bisect_left(nks, (lo,)):]:
                     entries.append((i, j, k))
                     by_index.setdefault(k, []).append((i, j))
         return tuple(entries), by_index
@@ -203,12 +208,11 @@ def mul(f: Series, g: Series) -> Tuple[Series, CarryTrace]:
     return result, CarryTrace(f.support, g.support, result.support, prec, carried)
 
 
-def _base_p_digits(n: int, p: int) -> List[int]:
-    digits = []
-    while n:
-        n, d = divmod(n, p)
-        digits.append(d)
-    return digits
+def _common(exps: Iterable[Fraction], prec: Value) -> Tuple[int, Union[int, float]]:
+    """A common denominator ``den`` of ``exps``, on which ``e`` is the integer ``e*den`` (offset
+    ``// den``, coset ``% den``), and the first such integer at or past ``prec``."""
+    den = lcm(*(e.denominator for e in exps))
+    return den, inf if isinstance(prec, Infinity) else -(-prec.numerator * den // prec.denominator)
 
 
 def canonicalize(f: Series) -> Series:
@@ -223,48 +227,66 @@ def canonicalize(f: Series) -> Series:
 def _carry(dom: CoefficientDomain, terms: Iterable, prec: Value) -> Series:
     """The canonical arithmetic series of (exponent, coefficient) pairs below ``prec``.
 
-    The support is grouped by coset ``gamma + Z`` with ``gamma`` in [0, 1);
-    for each x-exponent ``e`` (a p-adic digit is the ``x^0`` monomial) the
-    coset sum ``sum_n c_(gamma+n, e) p^n`` is evaluated as one exact integer
-    and re-expanded base p, so every surviving digit is a reduced digit and
-    the representation is unique.  A digit that would land at offset >= N
-    within its coset (but below the precision frontier) cannot be
+    Every exponent is an integer numerator over one common denominator, and
+    the support is grouped by coset ``gamma + Z``, a numerator residue.  For
+    each x-exponent ``e`` the coset sum ``sum_n c_(gamma+n, e) p^n`` is one
+    exact integer, re-expanded base p up to the frontier, so the digits are
+    reduced and unique, and one ``Fraction`` is built per output index.  A
+    digit at offset >= N within its coset (but below ``prec``) cannot be
     represented modulo p^N and raises :class:`PrecisionLossError`, naming
     the lowest such index (on a tie, the smallest x-exponent).
     """
-    p = dom.p
-    padic = isinstance(dom, PadicDigits)
-    totals: dict = {}  # (coset gamma, x-exponent) -> exact integer
+    p, terms = dom.p, tuple(terms)
+    den, stop = _common((e for e, _ in terms), prec)
+    powers = [1]  # p^n for every offset n seen so far
+    totals: dict = {}  # (coset numerator, x-exponent's numerator, denominator) -> [x-exponent, integer]
     for e, a in terms:
-        n = e.numerator // e.denominator
+        n, gamma = divmod(e.numerator * (den // e.denominator), den)
+        while len(powers) <= n:
+            powers.append(powers[-1] * p)
         for xe, c in dom.monomials(a):
-            key = (e - n, xe)
-            totals[key] = totals.get(key, 0) + c * p**n
-    digits: dict = {}  # output index -> [(x-exponent, digit)]
-    lost = []  # unrepresentable digits: (index, x-exponent, offset, coset)
-    for (gamma, xe), total in totals.items():
-        for offset, d in enumerate(_base_p_digits(total, p)):
-            k = gamma + offset
-            if d == 0 or k >= prec:
-                continue
-            if offset >= dom.N:
-                lost.append((k, xe, offset, gamma))  # the lowest one of its coset
+            totals.setdefault((gamma, xe.numerator, xe.denominator), [xe, 0])[1] += c * powers[n]
+    digits: dict = {}  # index numerator -> [(x-exponent, digit)]
+    lost = []  # unrepresentable digits: (index numerator, x-exponent, offset, coset numerator)
+    for (gamma, _, _), (xe, total) in totals.items():
+        num = gamma
+        while total and num < stop:  # every later digit of the coset lies past prec
+            total, digit = divmod(total, p)
+            if digit and num >= gamma + dom.N * den:
+                lost.append((num, xe, (num - gamma) // den, gamma))  # the lowest one of its coset
                 break
-            digits.setdefault(k, []).append((xe, d))
+            if digit:
+                digits.setdefault(num, []).append((xe, digit))
+            num += den
     if lost:
         k, _, offset, gamma = min(lost)
         raise PrecisionLossError(
-            f"digit at index {k} sits at offset {offset} within its coset "
-            f"{gamma} + Z, beyond the p^{dom.N} modulus"
+            f"digit at index {Fraction(k, den)} sits at offset {offset} within its coset "
+            f"{Fraction(gamma, den)} + Z, beyond the p^{dom.N} modulus"
         )
-    out = [(k, ms[0][1] if padic else XPoly(tuple(sorted(ms)))) for k, ms in sorted(digits.items())]
+    padic = isinstance(dom, PadicDigits)
+    out = [(Fraction(k, den), ms[0][1] if padic else XPoly(tuple(sorted(ms))))
+           for k, ms in sorted(digits.items())]
     return Series(dom, Mode.ARITHMETIC, tuple(out), prec)
 
 
+def _term_value_pairs(f: Series, s: Fraction) -> Iterator[Tuple[Fraction, int, int]]:
+    """``(i, num, den)`` per term in support order: its value ``v + s*i`` is
+    ``num/den`` over the integers, and ``1/0`` when ``v`` is +oo."""
+    sn, sd = s.numerator, s.denominator
+    valuation = f.domain.base_valuation_at
+    for i, a in f.terms:
+        v, d = valuation(a, s), i.denominator * sd
+        if v is INF:
+            yield i, 1, 0
+        else:  # v + s*i = (vn*sd*id + sn*in*vd) / (vd*sd*id)
+            yield i, v.numerator * d + sn * i.numerator * v.denominator, v.denominator * d
+
+
 def term_values(f: Series, s) -> List[Tuple[Fraction, Value]]:
-    """Per-term valuations ``base_valuation(a_i, s) + s*i`` in support order."""
-    s = as_gauss_param(s)
-    return [(i, f.domain.base_valuation_at(a, s) + s * i) for i, a in f.terms]
+    """Per-term valuations ``base_valuation(a_i, s) + s*i`` in support order, one Fraction each."""
+    return [(i, Fraction(num, den) if den else INF)
+            for i, num, den in _term_value_pairs(f, as_gauss_param(s))]
 
 
 def _lowest(values: List[Tuple[Fraction, Value]]) -> Tuple[Fraction, Value]:
@@ -281,7 +303,11 @@ def gauss_valuation(f: Series, s) -> Tuple[Value, bool]:
     ``s * prec`` already dominates the result.
     """
     s = as_gauss_param(s)
-    best = min((v for _, v in term_values(f, s)), default=INF)
+    bn, bd = 1, 0  # the least term value so far, bn/bd, from +oo = 1/0 down
+    for _, num, den in _term_value_pairs(f, s):
+        if num * bd < bn * den:
+            bn, bd = num, den
+    best = Fraction(bn, bd) if bd else INF
     if isinstance(f.prec, Infinity):
         return best, True
     if isinstance(best, Infinity):

@@ -64,7 +64,9 @@ def is_finite(v: Value) -> bool:
 
 
 def as_exponent(x) -> Fraction:
-    """Coerce to a nonnegative exact rational exponent."""
+    """Coerce to a nonnegative exact rational exponent; a bool or a float is not one."""
+    if type(x) is not Fraction and isinstance(x, (bool, float)):
+        raise ValueError(f"exponents must be exact rationals, got {x!r}")
     e = x if type(x) is Fraction else Fraction(x)
     if e.numerator < 0:  # the denominator is positive
         raise ValueError(f"exponents must be nonnegative, got {e}")
@@ -72,8 +74,10 @@ def as_exponent(x) -> Fraction:
 
 
 def as_gauss_param(s) -> Fraction:
-    """Coerce to a Gauss parameter (additive radius form, s >= 0)."""
-    v = Fraction(s)
+    """Coerce to a Gauss parameter (additive radius form, s >= 0); a bool or a float is not one."""
+    if type(s) is not Fraction and isinstance(s, (bool, float)):
+        raise ValueError(f"Gauss parameter must be an exact rational, got {s!r}")
+    v = s if type(s) is Fraction else Fraction(s)
     if v < 0:
         raise ValueError(f"Gauss parameter must be nonnegative, got {v}")
     return v

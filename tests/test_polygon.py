@@ -362,12 +362,12 @@ def test_binary_search_legendre_matches_node_scan():
     rng = random.Random(607)
     for pts in _seeded_point_sets():
         F = lower_hull(pts)
-        steepest = max((-(y2 - y1) / (x2 - x1) for (x1, y1), (x2, y2) in zip(F.nodes, F.nodes[1:])),
+        steepest = max((-Q(y2 - y1) / (x2 - x1) for (x1, y1), (x2, y2) in zip(F.nodes, F.nodes[1:])),
                        default=Q(0))
         grid = [Q(0), steepest, steepest + 1, 1000 * steepest + 7]
         grid += [Q(rng.randrange(0, 50), rng.choice((1, 2, 3, 7, 64))) for _ in range(8)]
         for (x1, y1), (x2, y2) in zip(F.nodes, F.nodes[1:]):
-            grid.append(-(y2 - y1) / (x2 - x1))  # s equal to an edge's negated slope
+            grid.append(-Q(y2 - y1) / (x2 - x1))  # s equal to an edge's negated slope
         for s in grid:
             assert legendre_eval(F, s) == reference_legendre_eval(F, s)
 

@@ -29,6 +29,7 @@ from mnseries import (
     localize,
     mul,
     restrict,
+    term_values,
 )
 
 P2 = PadicDigits(2)
@@ -111,6 +112,28 @@ def test_make_rejects_malformed_input():
         Series.make(P2, Mode.ARITHMETIC, [(Q(0), "1")])
     with pytest.raises(ValueError, match="nonnegative"):
         Series.make(P2, Mode.ARITHMETIC, [(Q(0), 1)]).with_prec(-1)
+
+
+@pytest.mark.parametrize("bad", [0.1, 0.5, 2.0, True, False])
+def test_bool_and_float_exponents_and_gauss_params_are_rejected(bad):
+    # a binary float is a valid 2-power lattice point and True passes as 1,
+    # so each used to be accepted silently
+    dom = PerfectPoly(2, "p-power")
+    f = Series.make(dom, Mode.FORMAL, [(Q(1, 2), dom.one())])
+    with pytest.raises(ValueError, match="exact rational"):
+        Series.make(dom, Mode.FORMAL, [(bad, dom.one())])
+    with pytest.raises(ValueError, match="exact rational"):
+        Series.make(dom, Mode.FORMAL, [(Q(0), dom.one())], prec=bad)
+    with pytest.raises(ValueError, match="exact rational"):
+        dom.x_power(bad)
+    with pytest.raises(ValueError, match="exact rational"):
+        f.with_prec(bad)
+    for valuation in (gauss_valuation, argnorm, term_values):
+        with pytest.raises(ValueError, match="exact rational"):
+            valuation(f, bad)
+    # the exact spellings of the same values stay accepted
+    assert Series.make(dom, Mode.FORMAL, [(1, dom.one())], prec=2).support == (Q(1),)
+    assert gauss_valuation(f, "1/2") == (Q(1, 4), True)
 
 
 @pytest.mark.parametrize("dom, mode, coeff", [
@@ -251,6 +274,7 @@ def _random_factor(rng, dom, mode):
         (PadicDigits(2), Mode.ARITHMETIC),
         (PadicDigits(3), Mode.ARITHMETIC),
         (MixedPoly(2, 32, "p-power"), Mode.ARITHMETIC),
+        (MixedPoly(3, 32, "any"), Mode.ARITHMETIC),
     ],
 )
 def test_derived_trace_matches_eager_reference(dom, mode):
@@ -403,6 +427,99 @@ def test_mixed_carry_matches_coset_integer_oracle(p):
         assert fg.terms == _expanded(prod, p, fg.prec)
 
 
+def _lost_message(acc, p, N, prec):
+    """Oracle: the PrecisionLossError message naming the lowest digit that sits
+    at offset >= N of its coset below ``prec``, or None when there is none."""
+    lost = []
+    for (gamma, xe), total in acc.items():
+        offset = 0
+        while total and gamma + offset < prec:
+            total, d = divmod(total, p)
+            if d and offset >= N:
+                lost.append((gamma + offset, xe, offset, gamma))
+                break
+            offset += 1
+    if not lost:
+        return None
+    k, _, offset, gamma = min(lost)
+    return (f"digit at index {k} sits at offset {offset} within its coset {gamma} + Z, "
+            f"beyond the p^{N} modulus")
+
+
+def _raw_carry_input(rng, dom, prec):
+    """Unsorted raw terms with repeated exponents of denominators 1, 3 and 6,
+    some at, just below or past the non-integer frontier ``prec``."""
+    near = [prec, prec - 1, Q(17, 3), Q(11, 2), Q(67, 12), Q(35, 6)]
+    exps = [Q(rng.randrange(8 * d), d) for d in rng.choices((1, 3, 6), k=4)] + near
+    xexps = [Q(0), Q(1, 3), Q(1, 2), Q(5, 6), Q(2)]
+    terms = []
+    for _ in range(rng.randrange(1, 10)):
+        if isinstance(dom, PadicDigits):
+            coeff = rng.randrange(1, dom.modulus)
+        else:
+            coeff = dom.poly([(rng.choice(xexps), rng.randrange(1, dom.modulus))
+                              for _ in range(rng.randrange(1, 4))])
+        terms.append((rng.choice(exps), coeff))
+    return terms
+
+
+def _as_domain_terms(dom, expanded):
+    """The oracle's MixedPoly-style terms in the domain's own coefficients."""
+    if isinstance(dom, PadicDigits):
+        return tuple((k, a.monomials[0][1]) for k, a in expanded)
+    return expanded
+
+
+@pytest.mark.parametrize("dom", [MixedPoly(3, 32, "any"), PadicDigits(5)], ids=str)
+def test_integer_carry_matches_coset_oracle(dom):
+    p, prec = dom.p, Q(23, 4)
+    rng = random.Random(f"integer-carry:{dom}")
+    for _ in range(60):
+        terms = _raw_carry_input(rng, dom, prec)
+        acc = _coset_integers([(e, dom.monomials(a)) for e, a in terms], p, prec)
+        expected = _as_domain_terms(dom, _expanded(acc, p, prec))
+        assert canonicalize(Series(dom, Mode.ARITHMETIC, tuple(terms), prec)).terms == expected
+        assert Series.make(dom, Mode.ARITHMETIC, terms, prec).terms == expected
+
+
+@pytest.mark.parametrize("dom", [MixedPoly(3, 2, "any"), PadicDigits(5, 2)], ids=str)
+def test_integer_carry_reports_the_lowest_lost_digit(dom):
+    p, prec = dom.p, Q(23, 4)
+    rng = random.Random(f"integer-carry-loss:{dom}")
+    raised = 0
+    for _ in range(80):
+        terms = _raw_carry_input(rng, dom, prec)
+        f = Series(dom, Mode.ARITHMETIC, tuple(terms), prec)
+        acc = _coset_integers([(e, dom.monomials(a)) for e, a in terms], p, prec)
+        message = _lost_message(acc, p, dom.N, prec)
+        if message is None:
+            assert canonicalize(f).terms == _as_domain_terms(dom, _expanded(acc, p, prec))
+        else:
+            raised += 1
+            with pytest.raises(PrecisionLossError) as exc:
+                canonicalize(f)
+            assert str(exc.value) == message
+    assert 0 < raised < 80  # both outcomes are exercised
+
+
+def test_precision_loss_names_the_lowest_index_when_x_exponents_tie():
+    # in the coset 1/3 + Z both x-exponents sum to 3 + 3*2 = 1001_2, whose top
+    # digit lands at index 10/3, offset 3 >= N = 2; the coset 1/2 + Z loses its
+    # digit higher up, at 7/2, and the coset 0 + Z fits (3 = 11_2)
+    dom = MixedPoly(2, 2, "any")
+    both = XPoly(((Q(0), 3), (Q(1, 2), 3)))
+    f = Series(dom, Mode.ARITHMETIC, ((Q(7, 2), dom.one()), (Q(4, 3), both), (Q(0), dom.from_int(3)),
+                                      (Q(1, 3), both)), INF)
+    with pytest.raises(PrecisionLossError, match=r"^digit at index 10/3 sits at offset 3 "
+                       r"within its coset 1/3 \+ Z, beyond the p\^2 modulus$"):
+        canonicalize(f)
+    with pytest.raises(PrecisionLossError, match=r"^digit at index 10/3 "):
+        Series.make(dom, Mode.ARITHMETIC, f.terms, Q(23, 4))
+    # below the frontier 10/3 nothing is lost, and the digit of 4/3 is 0
+    assert canonicalize(Series(dom, Mode.ARITHMETIC, f.terms, Q(10, 3))).terms == (
+        (Q(0), dom.one()), (Q(1, 3), XPoly(((Q(0), 1), (Q(1, 2), 1)))), (Q(1), dom.one()))
+
+
 def test_canonicalize_requires_arithmetic_mode():
     f = Series.make(P3F, Mode.FORMAL, [(Q(0), P3F.one())])
     with pytest.raises(ModeMismatchError):
@@ -492,6 +609,66 @@ def test_argnorm_zero_series_raises():
         argnorm(Series.make(P3F, Mode.FORMAL, []), 1)
 
 
+def _ord(c, p):
+    k = 0
+    while c % p == 0:
+        c, k = c // p, k + 1
+    return k
+
+
+def _textbook_term_value(dom, i, a, s):
+    """Oracle: ``min(s*ord_p(c) + e) + s*i`` over the monomials ``c*x^e`` of ``a``."""
+    monos = [(Q(0), a)] if isinstance(dom, PadicDigits) and a else getattr(a, "monomials", ())
+    return min((s * _ord(c, dom.p) + e + s * i for e, c in monos), default=INF)
+
+
+def _term_value_case(rng, dom):
+    """A formal series whose coefficients p divides often; some terms carry a zero XPoly."""
+    p, terms = dom.p, {}
+    for _ in range(rng.randrange(1, 7)):
+        e = Q(rng.randrange(0, 30), rng.choice((1, 2, 3, 7)))
+        c = rng.choice((1, 2, p, p * p, 2 * p**3, rng.randrange(1, p**5)))
+        if isinstance(dom, PadicDigits):
+            terms[e] = c
+        else:
+            dens = (1, p, 5) if dom.denominators == "any" else (1, p, p * p)
+            xes = [Q(rng.randrange(0, 6), rng.choice(dens)) for _ in range(rng.randrange(1, 4))]
+            terms[e] = dom.poly([(xe, rng.choice((c, p * c, 1))) for xe in xes])
+    if not isinstance(dom, PadicDigits) and rng.random() < 0.4:
+        terms[Q(rng.randrange(0, 30), 2)] = XPoly(())  # the constructor keeps it: value +oo
+    prec = INF if rng.random() < 0.5 else Q(rng.randrange(5, 40), rng.choice((1, 4)))
+    kept = tuple(sorted((e, a) for e, a in terms.items() if e < prec))
+    return Series(dom, Mode.FORMAL, kept, prec)
+
+
+@pytest.mark.parametrize("dom", [PadicDigits(3), MixedPoly(3, 32, "any"), MixedPoly(2, 32, "p-power")],
+                         ids=str)
+def test_term_value_pass_matches_textbook_oracle(dom):
+    rng = random.Random(f"term-values:{dom}")
+    zero_seen = 0
+    for _ in range(40):
+        f = _term_value_case(rng, dom)
+        zero_seen += any(not isinstance(dom, PadicDigits) and a.is_zero for _, a in f.terms)
+        for s in (Q(0), Q(1, 7), Q(5, 3), Q(10**6) + Q(1, 3)):
+            expected = [(i, _textbook_term_value(dom, i, a, s)) for i, a in f.terms]
+            assert term_values(f, s) == expected
+            best = min((v for _, v in expected), default=INF)
+            if f.prec == INF:
+                exact = True
+            else:
+                exact = best != INF and s * f.prec >= best
+            assert gauss_valuation(f, s) == (best, exact)
+            if f.is_zero:
+                continue
+            assert argnorm(f, s) == next(i for i, v in expected if v == best)
+            lo, hi = f.support[len(f.support) // 3], f.support[-1]
+            for threshold in (best, best + Q(1, 2), INF):
+                kept = tuple(t for t, (_, v) in zip(f.terms, expected)
+                             if lo <= t[0] < hi and v <= threshold)
+                assert restrict(f, lo, hi, threshold, s).terms == kept
+    assert zero_seen or isinstance(dom, PadicDigits)
+
+
 # --- restrict / witnesses / localize --------------------------------------
 
 
@@ -537,17 +714,20 @@ def test_localize_prediction_examples():
 
 
 def _count_term_values(monkeypatch):
-    """Count the term-value passes the series module makes from here on."""
+    """Count the term-value passes the series module makes from here on.
+
+    ``term_values`` and ``gauss_valuation`` both read the private integer
+    pass, so counting that pass counts every caller once."""
     import mnseries.series as series_module
 
     calls = []
-    original = series_module.term_values
+    original = series_module._term_value_pairs
 
     def counted(f, s):
         calls.append(f)
         return original(f, s)
 
-    monkeypatch.setattr(series_module, "term_values", counted)
+    monkeypatch.setattr(series_module, "_term_value_pairs", counted)
     return calls
 
 

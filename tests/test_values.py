@@ -45,6 +45,14 @@ def test_gauss_param_validation():
         as_gauss_param(-1)
 
 
+@pytest.mark.parametrize("bad", [True, False, 0.5, 2.0, float("nan")])
+def test_bool_and_float_are_not_exact_rationals(bad):
+    with pytest.raises(ValueError, match="exact rational"):
+        as_exponent(bad)
+    with pytest.raises(ValueError, match="exact rational"):
+        as_gauss_param(bad)
+
+
 def test_format_value():
     assert format_value(Q(3, 2)) == "3/2"
     assert format_value(Q(4)) == "4"

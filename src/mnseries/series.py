@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import inf, lcm
-from typing import Iterable, Iterator, List, Tuple, Union
+from typing import Collection, Iterable, Iterator, List, Tuple, Union
 
 from .domains import CoefficientDomain, PadicDigits, PerfectPoly, XPoly
 from .errors import ModeMismatchError, PrecisionLossError, ZeroSeriesError
@@ -202,7 +202,7 @@ def mul(f: Series, g: Series) -> Tuple[Series, CarryTrace]:
     _check_compatible(f, g)
     prec = min(f.prec + g.order_bound(), g.prec + f.order_bound())
     dom = f.domain
-    terms = [(i + j, dom.mul(a, b)) for i, a in f.terms for j, b in g.terms if i + j < prec]
+    terms = ((i + j, dom.mul(a, b)) for i, a in f.terms for j, b in g.terms if i + j < prec)
     result = _assemble(dom, f.mode, terms, prec)
     carried = f.mode is Mode.ARITHMETIC
     return result, CarryTrace(f.support, g.support, result.support, prec, carried)
@@ -224,7 +224,7 @@ def canonicalize(f: Series) -> Series:
     return _carry(f.domain, f.terms, f.prec)
 
 
-def _carry(dom: CoefficientDomain, terms: Iterable, prec: Value) -> Series:
+def _carry(dom: CoefficientDomain, terms: Collection, prec: Value) -> Series:
     """The canonical arithmetic series of (exponent, coefficient) pairs below ``prec``.
 
     Every exponent is an integer numerator over one common denominator, and
@@ -236,7 +236,7 @@ def _carry(dom: CoefficientDomain, terms: Iterable, prec: Value) -> Series:
     represented modulo p^N and raises :class:`PrecisionLossError`, naming
     the lowest such index (on a tie, the smallest x-exponent).
     """
-    p, terms = dom.p, tuple(terms)
+    p = dom.p
     den, stop = _common((e for e, _ in terms), prec)
     powers = [1]  # p^n for every offset n seen so far
     totals: dict = {}  # (coset numerator, x-exponent's numerator, denominator) -> [x-exponent, integer]

@@ -27,7 +27,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .domains import CoefficientDomain, PadicDigits, PerfectPoly, _p_power_denominator
 from .errors import MNSeriesError
-from .polygon import legendre_eval, newton_polygon
+from .polygon import legendre_eval, lower_hull
 from .series import Mode, Series, canonicalize
 
 __all__ = [
@@ -549,13 +549,13 @@ def chain_report(
     increasing grid inside (0, 1).
 
     For mu < lam the Legendre class of the mu-profile must be omega of
-    ``s^lam`` and outside O^sup of it: an exact exponent comparison.  Each
-    profile is also materialized at the requested depth to confirm ideal
-    membership and to sample the Legendre ratio of the realized polygon
-    at s = 2^-4, ..., 2^-10.  Both read the one Newton polygon, so each
-    digit's coefficient valuation is computed once.  One pass over the
-    grid builds each exponent's profile and law and appends its pairs,
-    membership and ratios.
+    ``s^lam`` and outside O^sup of it: an exact exponent comparison.  Ideal
+    membership and the Legendre ratios at s = 2^-4, ..., 2^-10 read the
+    hull of the points ``(i, q_i)``, i <= depth, which are what
+    :func:`newton_polygon` reads off :func:`materialize` (the digit
+    ``x^(q_i)`` has valuation q_i).  No series is built, so the report
+    depends on the domain only through p: over a ``MixedPoly`` a depth at or
+    past N raises no ``PrecisionLossError``.  One pass over the grid does it all.
     """
     depth = _positive_integer(depth, "depth")
     grid = [Fraction(m) for m in mu_grid]
@@ -572,9 +572,8 @@ def chain_report(
         for lam in grid[idx + 1 :]:
             verdict = classify(law, PowerLaw(Fraction(1), lam)).verdict
             pairs.append((m, lam, verdict, verdict == "omega"))
-        # one valuation per digit: the polygon's last ordinate is the least
-        # coefficient valuation, so it is positive exactly when in_m(mat) holds
-        poly = newton_polygon(materialize(profile, depth))
+        # the last ordinate is the least digit valuation: positive exactly when in the ideal
+        poly = lower_hull([(Fraction(i), profile.digit_exponent(i)) for i in range(1, depth + 1)])
         membership.append((m, poly.y_last > 0))
         c_norm = float(law.coeff)
         rows = tuple((s, float(legendre_eval(poly, s)) / (c_norm * float(s) ** float(m)))

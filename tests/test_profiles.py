@@ -15,6 +15,7 @@ import mnseries
 import mnseries.profiles as profiles_module
 from mnseries import (
     INF,
+    ChainReport,
     MixedPoly,
     Mode,
     PadicDigits,
@@ -32,6 +33,7 @@ from mnseries import (
     in_m,
     inverse_legendre_power,
     iroot,
+    legendre_eval,
     legendre_power_law,
     lower_hull,
     materialize,
@@ -514,24 +516,70 @@ def test_mu_is_exact_for_int_rate():
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_chain_report_values_each_digit_once(p, monkeypatch):
+    # each digit is read once, from the rule: no series, no coefficient valuation
     dom = PerfectPoly(p, "p-power")
     grid, depth = [Q(1, 16), Q(1, 2), Q(11, 12)], 96
-    calls = []
-    original = PerfectPoly.coeff_valuation
+    calls, digits = [], []
+    original, rule = PerfectPoly.coeff_valuation, ProfileElement.digit_exponent
 
     def counted(self, a):
         calls.append(a)
         return original(self, a)
 
+    def counted_rule(self, i):
+        digits.append(i)
+        return rule(self, i)
+
+    def no_series(*args):
+        raise AssertionError("chain_report built a series")
+
     monkeypatch.setattr(PerfectPoly, "coeff_valuation", counted)
+    monkeypatch.setattr(ProfileElement, "digit_exponent", counted_rule)
+    monkeypatch.setattr(profiles_module, "materialize", no_series)
     report = chain_report(grid, depth=depth, domain=dom)
-    assert len(calls) == len(grid) * depth
+    assert len(calls) == 0
+    assert len(digits) == len(grid) * depth
     monkeypatch.undo()
     assert PerfectPoly.coeff_valuation is original
     expected = [(mu, in_m(materialize(ProfileElement.for_exponent(mu, dom), depth)))
                 for mu in grid]
     assert list(report.membership) == expected
     assert report.all_in_ideal
+
+
+def _report_from_series(grid, depth, dom):
+    """The chain report assembled from each materialized series and its Newton polygon."""
+    pairs, membership, ratios = [], [], []
+    for idx, mu in enumerate(grid):
+        profile = ProfileElement.for_exponent(mu, dom)
+        law = legendre_power_law(profile)
+        for lam in grid[idx + 1:]:
+            verdict = classify(law, PowerLaw(Q(1), lam)).verdict
+            pairs.append((mu, lam, verdict, verdict == "omega"))
+        f = materialize(profile, depth)
+        poly = newton_polygon(f)
+        membership.append((mu, in_m(f)))
+        norm = float(law.coeff)
+        ratios.append((mu, tuple((s, float(legendre_eval(poly, s)) / (norm * float(s) ** float(mu)))
+                                 for s in profiles_module.RATIO_GRID)))
+    return ChainReport(tuple(grid), depth, tuple(pairs), tuple(membership), tuple(ratios))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("depth", [1, 2, 7, 64, 300])
+def test_chain_report_equals_the_materialized_report(p, depth):
+    dom = PerfectPoly(p, "p-power")
+    grid = [Q(1, 16), Q(1, 3), Q(1, 2), Q(3, 4), Q(11, 12)]
+    assert chain_report(grid, depth=depth, domain=dom) == _report_from_series(grid, depth, dom)
+
+
+def test_mixed_chain_report_depends_on_the_domain_only_through_p():
+    grid, mixed = [Q(1, 4), Q(1, 2), Q(7, 8)], MixedPoly(3, 4)
+    expected = chain_report(grid, depth=16, domain=PerfectPoly(3, "p-power"))
+    assert chain_report(grid, depth=16, domain=mixed) == expected
+    # the element itself overflows p^4 at that depth; the report never forms it
+    with pytest.raises(PrecisionLossError):
+        materialize(ProfileElement.for_exponent(Q(1, 2), mixed), 16)
 
 
 def test_polygon_last_ordinate_decides_membership():

@@ -102,6 +102,13 @@ def _p_power_denominator(den: int, p: int) -> bool:
     return pow(p, den.bit_length(), den) == 0
 
 
+def _integer(c) -> int:
+    """An int coefficient, unreduced; a bool or a float is not one."""
+    if not isinstance(c, int) or isinstance(c, bool):
+        raise DomainError(f"expected an integer coefficient, got {c!r}")
+    return c
+
+
 _X0 = Fraction(0)  # the x-exponent of a p-adic digit
 
 
@@ -234,11 +241,22 @@ class _PolyDomain(_Domain):
         if not isinstance(a, XPoly):
             raise DomainError(f"expected an XPoly coefficient, got {type(a).__name__}")
         modulus = self.modulus
+        prev = None
         for e, c in a.monomials:
             self._check_exponent(e)
+            if prev is not None and e <= prev:  # the readers stop at the first unit monomial
+                raise DomainError(f"monomial exponents must strictly increase: {e} after {prev}")
             if not (0 < c < modulus):
                 raise DomainError(f"monomial coefficient {c} outside [1, {modulus - 1}]")
+            prev = e
         return a
+
+    def lift(self, a) -> XPoly:
+        """Check an integer-coefficient representative without reducing it: its
+        exponents lie on the lattice and its coefficients are ints, in any order."""
+        if not isinstance(a, XPoly):
+            raise DomainError(f"expected an XPoly coefficient, got {type(a).__name__}")
+        return XPoly(tuple((self._check_exponent(e), _integer(c)) for e, c in a.monomials))
 
     def coerce(self, a) -> XPoly:
         """Accept any integer-coefficient representative and reduce it."""
@@ -301,6 +319,10 @@ class PadicDigits(_Domain):
         if not (0 <= a < self.modulus):
             raise DomainError(f"digit {a} outside [0, {self.modulus - 1}]")
         return a
+
+    def lift(self, a) -> int:
+        """Check an integer representative without reducing it mod p^N."""
+        return _integer(a)
 
     def coerce(self, a) -> int:
         """Accept any integer representative and reduce it mod p^N."""

@@ -142,7 +142,7 @@ class Series:
         return self.prec
 
     def coefficient(self, e) -> object:
-        e = Fraction(e)
+        e = as_exponent(e)
         for exp, a in self.terms:
             if exp == e:
                 return a
@@ -216,12 +216,18 @@ def _common(exps: Iterable[Fraction], prec: Value) -> Tuple[int, Union[int, floa
 
 
 def canonicalize(f: Series) -> Series:
-    """Canonical digit form of an Arithmetic-mode series: the carry :meth:`Series.make` runs."""
+    """Canonical digit form of an Arithmetic-mode series: the carry :meth:`Series.make` runs.
+
+    Each term is checked as :meth:`Series.make` checks it, but its integers
+    stay unreduced, so the carry is exact and reports any overflow past p^N.
+    """
     if f.mode is not Mode.ARITHMETIC:
         raise ModeMismatchError("canonicalize applies to arithmetic-mode series")
-    if isinstance(f.domain, PerfectPoly):
+    dom = f.domain
+    if isinstance(dom, PerfectPoly):
         raise ModeMismatchError("arithmetic mode over a characteristic-p domain")
-    return _carry(f.domain, f.terms, f.prec)
+    prec = f.prec if isinstance(f.prec, Infinity) else as_exponent(f.prec)
+    return _carry(dom, [(as_exponent(e), dom.lift(a)) for e, a in f.terms], prec)
 
 
 def _carry(dom: CoefficientDomain, terms: Collection, prec: Value) -> Series:
@@ -324,7 +330,8 @@ def argnorm(f: Series, s) -> Fraction:
 
 def restrict(f: Series, lo, hi, threshold: Value, s) -> Series:
     """Sub-series with index in [lo, hi) whose term value is <= threshold."""
-    lo = Fraction(lo)
+    lo = as_exponent(lo)
+    hi = hi if isinstance(hi, Infinity) else as_exponent(hi)
     kept = tuple((i, a) for (i, a), (_, v) in zip(f.terms, term_values(f, s))
                  if lo <= i and i < hi and v <= threshold)
     return Series(f.domain, f.mode, kept, f.prec)
@@ -359,7 +366,7 @@ def bar_witness(f: Series, s, eps) -> Fraction:
     """
     if f.is_zero:
         raise ZeroSeriesError("bar witness of the zero series is undefined")
-    eps = Fraction(eps)
+    eps = as_gauss_param(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     values = term_values(f, s)

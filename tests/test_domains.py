@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from mnseries import INF, DomainError, MixedPoly, PadicDigits, PerfectPoly, ordp
+from mnseries import INF, DomainError, MixedPoly, PadicDigits, PerfectPoly, XPoly, ordp
 from mnseries.domains import _p_power_denominator
 
 
@@ -86,6 +86,14 @@ def test_digit_range_validation():
         pd.validate(-1)
     with pytest.raises(DomainError):
         pd.validate("7")
+    # the readers stop at the first monomial prime to p, which is the lowest
+    # one only when the exponents strictly increase
+    dom = PerfectPoly(2)
+    for monomials in (((Q(2), 1), (Q(1), 1)), ((Q(1), 1), (Q(1), 1))):
+        with pytest.raises(DomainError, match="strictly increase"):
+            dom.validate(XPoly(monomials))
+        with pytest.raises(DomainError, match="strictly increase"):
+            dom.coeff_valuation(XPoly(monomials))
 
 
 def test_perfect_valuation_is_multiplicative():

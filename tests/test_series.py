@@ -131,9 +131,18 @@ def test_bool_and_float_exponents_and_gauss_params_are_rejected(bad):
     for valuation in (gauss_valuation, argnorm, term_values):
         with pytest.raises(ValueError, match="exact rational"):
             valuation(f, bad)
+    with pytest.raises(ValueError, match="exact rational"):
+        f.coefficient(bad)
+    with pytest.raises(ValueError, match="exact rational"):
+        restrict(f, bad, Q(2), INF, 1)
+    with pytest.raises(ValueError, match="exact rational"):
+        restrict(f, 0, bad, INF, 1)
+    with pytest.raises(ValueError, match="exact rational"):
+        bar_witness(f, 1, bad)
     # the exact spellings of the same values stay accepted
     assert Series.make(dom, Mode.FORMAL, [(1, dom.one())], prec=2).support == (Q(1),)
     assert gauss_valuation(f, "1/2") == (Q(1, 4), True)
+    assert f.coefficient(Q(1, 2)) == dom.one() and restrict(f, 0, INF, INF, 1) == f
 
 
 @pytest.mark.parametrize("dom, mode, coeff", [
@@ -569,6 +578,33 @@ def test_canonicalize_rejects_characteristic_p_domain():
         canonicalize(f)
 
 
+def test_canonicalize_checks_each_term_and_keeps_its_integers():
+    def canon(dom, e, a):
+        return canonicalize(Series(dom, Mode.ARITHMETIC, ((e, a),), INF)).terms
+
+    # each term is checked as Series.make checks it
+    with pytest.raises(DomainError, match="not a power of p"):
+        canon(MixedPoly(2, 32, "p-power"), Q(0), XPoly(((Q(1, 3), 1),)))
+    with pytest.raises(DomainError, match="expected an integer coefficient"):
+        canon(MixedPoly(2, 32), Q(0), XPoly(((Q(0), True),)))
+    for bad in (2.0, True, "2", MixedPoly(3, 4).one()):
+        with pytest.raises(DomainError):
+            canon(PadicDigits(3, 4), Q(0), bad)
+    for bad in (0.5, True, Q(-1)):
+        with pytest.raises(ValueError):
+            canon(PadicDigits(3, 4), bad, 1)
+    # the integers stay unreduced: 80 = 2222_3 fits four digits, 81 = 3^4 does not
+    assert canon(PadicDigits(3, 4), Q(0), 80) == tuple((Q(k), 2) for k in range(4))
+    with pytest.raises(PrecisionLossError):
+        canon(PadicDigits(3, 4), Q(0), 81)
+    with pytest.raises(PrecisionLossError):
+        canon(MixedPoly(2, 2), Q(0), XPoly(((Q(0), 4),)))
+    # an int x-exponent comes back as a Fraction, and monomials may repeat
+    dom = MixedPoly(2, 4)
+    out = canon(dom, 1, XPoly(((1, 1), (1, 1))))
+    assert out == ((Q(2), dom.x_power(1)),) and type(out[0][1].monomials[0][0]) is Q
+
+
 # --- gauss_valuation / argnorm -------------------------------------------
 
 
@@ -753,10 +789,11 @@ def test_witnesses_read_one_term_value_pass(monkeypatch):
 
 
 # --- known silent wraparound ------------------------------------------------
-# Arithmetic mode folds equal exponents, and multiplies digits, modulo p^N
-# before canonicalize carries, so an overflow past p^N can vanish without a
-# PrecisionLossError.  Each test first pins the N = 32 result the small-N
-# computation loses.  They fail as XPASS once the fold is exact.
+# Arithmetic mode folds equal exponents, multiplies digits, and coerces an
+# outside integer (from_int and coerce), modulo p^N before the carry sees
+# them, so an overflow past p^N can vanish without a PrecisionLossError.  Each
+# test first pins the N = 32 result the small-N computation loses.  They fail
+# as XPASS once the fold and the coercion are exact.
 
 _WRAPAROUND = pytest.mark.xfail(
     strict=True, raises=pytest.fail.Exception, reason="silent mod-p^N wraparound"
@@ -767,6 +804,15 @@ _WRAPAROUND = pytest.mark.xfail(
 def test_make_fold_overflow_raises():
     terms = [(Q(1, 4), 1)] * 4
     assert Series.make(PadicDigits(2, 32), Mode.ARITHMETIC, terms).terms == ((Q(9, 4), 1),)
+    with pytest.raises(PrecisionLossError):
+        Series.make(PadicDigits(2, 2), Mode.ARITHMETIC, terms)
+
+
+@_WRAPAROUND
+def test_make_coerce_overflow_raises():
+    # through the CLI, `mnseries canon 4 --mode arithmetic --prec-N 2` prints 0
+    terms = [(Q(0), 4)]
+    assert Series.make(PadicDigits(2, 32), Mode.ARITHMETIC, terms).terms == ((Q(2), 1),)
     with pytest.raises(PrecisionLossError):
         Series.make(PadicDigits(2, 2), Mode.ARITHMETIC, terms)
 

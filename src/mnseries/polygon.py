@@ -137,29 +137,35 @@ def _integer_coordinates(points) -> _Scaled:
 def lower_hull(points: Sequence[Tuple[Fraction, Fraction]]) -> PLConvexFn:
     """Nonincreasing lower convex hull of finite points with rational coords.
 
-    One monotone-chain sweep on integer coordinates (see
-    :func:`_integer_coordinates`), O(n log n) for the sort and O(n) after
-    it.  A point no lower than the last node is skipped; any other pops the
-    nodes on or above its chord, so collinear interior points are dropped.
-    The nodes are the original points, and the polygon keeps their integers.
+    One monotone-chain sweep (:func:`_hull_sweep`) on integer coordinates
+    (see :func:`_integer_coordinates`), O(n log n) for the sort and O(n)
+    after it.  The nodes are the original points, each with the x of the
+    last point at its abscissa, and the polygon keeps their integers.
     """
     if not points:
         raise ValueError("need at least one point")
     xs, ys, dx, dy = _integer_coordinates(points)
-    hx: List[int] = []  # the nodes' scaled coordinates
-    hy: List[int] = []
-    nodes: List[Tuple[Fraction, Fraction]] = []
-    for X, Y, k in sorted(zip(xs, ys, range(len(points)))):
+    ordered = sorted(zip(xs, ys, range(len(points))))
+    lender = {X: k for X, _, k in ordered}
+    hx, hy, kept = _hull_sweep(t[:2] for t in ordered)
+    nodes = tuple((points[lender[X]][0], points[ordered[j][2]][1]) for X, j in zip(hx, kept))
+    return PLConvexFn._from_scaled(nodes, _Scaled(hx, hy, dx, dy))
+
+
+def _hull_sweep(points) -> Tuple[List[int], List[int], List[int]]:
+    """Nodes' coordinates and positions of the nonincreasing lower hull of
+    integer points sorted by (x, y).  A point no lower than the last node is
+    skipped; any other pops the nodes on or above its chord."""
+    hx, hy, kept = [], [], []
+    for j, (X, Y) in enumerate(points):
         if hy and Y >= hy[-1]:
-            if X == hx[-1]:  # a later point at the node's abscissa lends it its x
-                nodes[-1] = (points[k][0], nodes[-1][1])
             continue
         while len(hx) >= 2 and (hy[-1] - hy[-2]) * (X - hx[-2]) >= (Y - hy[-2]) * (hx[-1] - hx[-2]):
-            del hx[-1], hy[-1], nodes[-1]
+            del hx[-1], hy[-1], kept[-1]
         hx.append(X)
         hy.append(Y)
-        nodes.append(tuple(points[k]))
-    return PLConvexFn._from_scaled(tuple(nodes), _Scaled(hx, hy, dx, dy))
+        kept.append(j)
+    return hx, hy, kept
 
 
 def newton_polygon(f: Series) -> PLConvexFn:
@@ -170,32 +176,31 @@ def newton_polygon(f: Series) -> PLConvexFn:
     """
     if f.is_zero:
         raise ZeroSeriesError("the zero series has no Newton polygon")
-    pts = []
-    for i, a in f.terms:
-        v = f.domain.coeff_valuation(a)
-        if is_finite(v):
-            pts.append((i, v))
+    pts = [(i, v) for i, a in f.terms if is_finite(v := f.domain.coeff_valuation(a))]
     if not pts:
         raise ZeroSeriesError("no term with finite coefficient valuation")
     return lower_hull(pts)
 
 
 def legendre_eval(F: PLConvexFn, s) -> Fraction:
-    """Infimum Legendre transform ``inf_x (F(x) + s*x)`` at the point s.
+    """Infimum Legendre transform ``inf_x (F(x) + s*x)`` at the point s (see :func:`_legendre_at`)."""
+    return _legendre_at(F._scaled, as_gauss_param(s))
+
+
+def _legendre_at(scaled: _Scaled, s: Fraction) -> Fraction:
+    """``min_k (y_k + s*x_k)`` over the nodes of a convex polygon, for s >= 0.
 
     The infimum of a convex piecewise-linear function plus a nonnegative
-    linear term is attained at a hull node, so a node minimum is exact.
-    Along the nodes, ``y + s*x`` moves by ``(x' - x) * (slope + s)`` from
+    linear term is attained at a node, so this minimum is exact.  Along the
+    nodes, ``y + s*x`` moves by ``(x' - x) * (slope + s)`` from
     one node to the next; the slopes never fall, so once a step is >= 0
     every later one is, and the minimum sits at the first node whose next
-    step is >= 0: a binary search, O(log n) per s.  It runs on the
-    polygon's integer coordinates: with ``x = X/dx``, ``y = Y/dy`` and
-    ``s = sn/sd``, a step is >= 0 when ``(Y' - Y)*dx*sd + sn*dy*(X' - X)``
-    is.  The value at the node found, ``(Y*dx*sd + sn*dy*X) / (dy*dx*sd)``,
-    is the one Fraction built.
+    step is >= 0: a binary search, O(log n) per s.  With ``x = X/dx``,
+    ``y = Y/dy`` and ``s = sn/sd``, a step is >= 0 when
+    ``(Y' - Y)*dx*sd + sn*dy*(X' - X)`` is.  The value at the node found,
+    ``(Y*dx*sd + sn*dy*X) / (dy*dx*sd)``, is the one Fraction built.
     """
-    s = as_gauss_param(s)
-    xs, ys, dx, dy = F._scaled
+    xs, ys, dx, dy = scaled
     a, b = dx * s.denominator, s.numerator * dy
     k = bisect_left(
         range(len(xs) - 1),
@@ -220,12 +225,7 @@ def sup_distance(F: PLConvexFn, G: PLConvexFn) -> Fraction:
     if F.x_first != G.x_first:
         raise ValueError("polygons start at different abscissae")
     breakpoints = sorted({x for x, _ in F.nodes} | {x for x, _ in G.nodes})
-    best = Fraction(0)
-    for x in breakpoints:
-        d = abs(F.value_at(x) - G.value_at(x))
-        if d > best:
-            best = d
-    return best
+    return max((abs(F.value_at(x) - G.value_at(x)) for x in breakpoints), default=Fraction(0))
 
 
 @dataclass(frozen=True, slots=True)

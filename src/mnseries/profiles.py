@@ -25,9 +25,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .domains import CoefficientDomain, PadicDigits, PerfectPoly, _p_power_denominator
+from .domains import CoefficientDomain, PadicDigits, PerfectPoly, XPoly, _p_power_denominator
 from .errors import MNSeriesError
-from .polygon import legendre_eval, lower_hull
+from .polygon import _hull_sweep, _legendre_at, _Scaled
 from .series import Mode, Series, canonicalize
 
 __all__ = [
@@ -235,7 +235,6 @@ class _DigitRule(NamedTuple):
     """What a profile's digit rule needs that does not depend on the index,
     for ``c = u/v`` and ``r = a/b`` in lowest terms."""
 
-    p: int
     a: int
     b: int
     ub: int  # u^b
@@ -283,7 +282,7 @@ class ProfileElement:
         p = self.domain.p
         a, b = self.r.numerator, self.r.denominator
         u, v = self.c.numerator, self.c.denominator
-        rule = _DigitRule(p, a, b, u**b, v**b, p**b, math.log(p),
+        rule = _DigitRule(a, b, u**b, v**b, p**b, math.log(p),
                           math.log(u) - math.log(v), a / b)
         object.__setattr__(self, "_rule", rule)
 
@@ -299,7 +298,12 @@ class ProfileElement:
         return Fraction(self.r, self.r + 1)
 
     def digit_exponent(self, i) -> Fraction:
-        """Lattice exponent ``q_i = m / p^k`` approximating ``tau = c * i^(-r)``.
+        """Lattice exponent ``q_i = m / p^k`` approximating ``tau = c * i^(-r)``."""
+        m, k = self._digit(*_index_parts(i))
+        return Fraction(m, self.domain.p**k)
+
+    def _digit(self, n: int, d: int) -> Tuple[int, int]:
+        """The digit rule on integers: ``(m, k)`` at the index ``i = n/d >= 1``, in any terms.
 
         k is the least k >= 0 with ``p^-k <= tau / (2^GUARD_BITS i^2)``, and
         m is ``tau p^k`` rounded to the nearest integer, half up.  Floats
@@ -307,8 +311,7 @@ class ProfileElement:
         overflow); exact integer comparisons against one quotient then move
         each guess to the true value, so the digit is exact for every index.
         """
-        n, d = _index_parts(i)
-        p, a, b, ub, vb, step, ln_p, ln_c, r_float = self._rule
+        a, b, ub, vb, step, ln_p, ln_c, r_float = self._rule
         ln_i = math.log(n) - math.log(d)
         # With i = n/d, (tau p^k)^b d^(2b) = rhs / Q for rhs = ub d^(2b+a) p^(kb)
         # and Q = vb n^a.  Every test reads the one quotient W = floor(2^b rhs / Q):
@@ -334,7 +337,7 @@ class ProfileElement:
             m += 1
         while (2 * m - 1) ** b > W:
             m -= 1
-        return Fraction(m, p**k)
+        return m, k
 
 
 def deviation_within_bound(profile: ProfileElement, i, q: Fraction) -> bool:
@@ -383,18 +386,20 @@ def materialize(profile: ProfileElement, up_to: int, step=1) -> Series:
     [0.0215, 0.0303] at s = 2^-4 and in [0.0145, 0.0194] at s = 2^-5,
     which are disjoint.
 
-    Each digit is built once, by ``x_power``, which checks its exponent
-    against the domain's lattice; the indices increase and every digit is
-    nonzero, so the terms are already in series form and skip
+    Each digit is built once, as the monomial ``x^(m/p^k)`` straight from
+    the digit rule's integers: a p-power denominator lies on every domain's
+    lattice, so it needs no ``x_power`` check.  The indices increase and
+    every digit is nonzero, so the terms are already in series form and skip
     ``Series.make``.  A ``MixedPoly`` profile is canonicalized once.
     O(up_to / h) digits, each O(1) big-integer operations in their size.
     """
     up_to = _positive_integer(up_to, "depth")
     dom = profile.domain
-    per_unit = _steps_per_unit(step, dom.p)
+    p, per_unit = dom.p, _steps_per_unit(step, dom.p)
     mode = Mode.FORMAL if isinstance(dom, PerfectPoly) else Mode.ARITHMETIC
-    indices = (Fraction(n, per_unit) for n in range(per_unit, per_unit * up_to + 1))
-    terms = tuple((i, dom.x_power(profile.digit_exponent(i))) for i in indices)
+    terms = tuple((Fraction(n, per_unit), XPoly(((Fraction(m, p**k), 1),)))
+                  for n in range(per_unit, per_unit * up_to + 1)
+                  for m, k in (profile._digit(n, per_unit),))
     series = Series(dom, mode, terms, Fraction(up_to + 1))
     return canonicalize(series) if mode is Mode.ARITHMETIC else series
 
@@ -566,19 +571,21 @@ def chain_report(
     dom = domain if domain is not None else PerfectPoly(2, "p-power")
 
     pairs, membership, ratios = [], [], []
-    for idx, m in enumerate(grid):
-        profile = ProfileElement.for_exponent(m, dom)
+    for idx, mu in enumerate(grid):
+        profile = ProfileElement.for_exponent(mu, dom)
         law = legendre_power_law(profile)
         for lam in grid[idx + 1 :]:
             verdict = classify(law, PowerLaw(Fraction(1), lam)).verdict
-            pairs.append((m, lam, verdict, verdict == "omega"))
+            pairs.append((mu, lam, verdict, verdict == "omega"))
+        digits = [profile._digit(i, 1) for i in range(1, depth + 1)]
+        K, p = max(k for _, k in digits), dom.p  # every q_i = m / p^k on the denominator p^K
+        xs, ys, _ = _hull_sweep(enumerate([m * p ** (K - k) for m, k in digits], 1))
         # the last ordinate is the least digit valuation: positive exactly when in the ideal
-        poly = lower_hull([(Fraction(i), profile.digit_exponent(i)) for i in range(1, depth + 1)])
-        membership.append((m, poly.y_last > 0))
-        c_norm = float(law.coeff)
-        rows = tuple((s, float(legendre_eval(poly, s)) / (c_norm * float(s) ** float(m)))
+        membership.append((mu, ys[-1] > 0))
+        hull, c_norm = _Scaled(xs, ys, 1, p**K), float(law.coeff)
+        rows = tuple((s, float(_legendre_at(hull, s)) / (c_norm * float(s) ** float(mu)))
                      for s in RATIO_GRID)
-        ratios.append((m, rows))
+        ratios.append((mu, rows))
 
     return ChainReport(tuple(grid), depth, tuple(pairs), tuple(membership), tuple(ratios))
 

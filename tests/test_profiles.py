@@ -516,29 +516,29 @@ def test_mu_is_exact_for_int_rate():
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_chain_report_values_each_digit_once(p, monkeypatch):
-    # each digit is read once, from the rule: no series, no coefficient valuation
+    # each digit is read once, from the integer rule: no series, no coefficient valuation
     dom = PerfectPoly(p, "p-power")
     grid, depth = [Q(1, 16), Q(1, 2), Q(11, 12)], 96
     calls, digits = [], []
-    original, rule = PerfectPoly.coeff_valuation, ProfileElement.digit_exponent
+    original, rule = PerfectPoly.coeff_valuation, ProfileElement._digit
 
     def counted(self, a):
         calls.append(a)
         return original(self, a)
 
-    def counted_rule(self, i):
-        digits.append(i)
-        return rule(self, i)
+    def counted_rule(self, n, d):
+        digits.append((n, d))
+        return rule(self, n, d)
 
     def no_series(*args):
         raise AssertionError("chain_report built a series")
 
     monkeypatch.setattr(PerfectPoly, "coeff_valuation", counted)
-    monkeypatch.setattr(ProfileElement, "digit_exponent", counted_rule)
+    monkeypatch.setattr(ProfileElement, "_digit", counted_rule)
     monkeypatch.setattr(profiles_module, "materialize", no_series)
     report = chain_report(grid, depth=depth, domain=dom)
     assert len(calls) == 0
-    assert len(digits) == len(grid) * depth
+    assert digits == [(i, 1) for i in range(1, depth + 1)] * len(grid)
     monkeypatch.undo()
     assert PerfectPoly.coeff_valuation is original
     expected = [(mu, in_m(materialize(ProfileElement.for_exponent(mu, dom), depth)))
@@ -565,11 +565,15 @@ def _report_from_series(grid, depth, dom):
     return ChainReport(tuple(grid), depth, tuple(pairs), tuple(membership), tuple(ratios))
 
 
-@pytest.mark.parametrize("p", [2, 3])
-@pytest.mark.parametrize("depth", [1, 2, 7, 64, 300])
-def test_chain_report_equals_the_materialized_report(p, depth):
+@pytest.mark.parametrize("p, depth, grid", [
+    *[pytest.param(p, depth, [Q(1, 16), Q(1, 3), Q(1, 2), Q(3, 4), Q(11, 12)], id=f"{depth}-{p}")
+      for p in (2, 3) for depth in (1, 2, 7, 64, 300)],
+    # the benchmark's extremes: 1/16 (b = 15) and 15/16 (K = 188) at depth 1024, p = 2
+    pytest.param(2, 1024, [Q(1, 16), Q(15, 16)], id="1024-2-extremes"),
+    pytest.param(3, 300, [Q(15, 16)], id="300-3-extremes"),
+])
+def test_chain_report_equals_the_materialized_report(p, depth, grid):
     dom = PerfectPoly(p, "p-power")
-    grid = [Q(1, 16), Q(1, 3), Q(1, 2), Q(3, 4), Q(11, 12)]
     assert chain_report(grid, depth=depth, domain=dom) == _report_from_series(grid, depth, dom)
 
 

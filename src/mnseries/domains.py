@@ -226,6 +226,11 @@ class _PolyDomain(_Domain):
         c = int(c) % self.modulus
         return XPoly(((e, c),) if c else ())
 
+    def _p_power_monomial(self, m: int, k: int) -> XPoly:
+        """The monomial ``x^(m/p^k)`` for ints m >= 0 and k >= 0, unchecked: a
+        p-power denominator lies on every lattice, and 1 is a unit mod p^N."""
+        return XPoly(((Fraction(m, self.p**k), 1),))
+
     def is_zero(self, a: XPoly) -> bool:
         return a.is_zero
 

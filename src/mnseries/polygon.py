@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from operator import itemgetter
-from typing import Callable, List, NamedTuple, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Sequence, Tuple, Union
 
 from .errors import ZeroSeriesError
 from .series import Series, add, gauss_valuation, mul
@@ -25,6 +25,7 @@ from .values import INF, Value, as_gauss_param, format_value, is_finite
 
 __all__ = [
     "PLConvexFn",
+    "IndexPoints",
     "lower_hull",
     "newton_polygon",
     "legendre_eval",
@@ -43,10 +44,12 @@ class PLConvexFn:
     ``nodes`` are the hull vertices with strictly increasing x.  The
     function is +oo on [0, x_first) and extends with constant value beyond
     the last node; consecutive slopes are nondecreasing and nonpositive.
-    The nodes are checked on integer coordinates (see
-    :func:`_integer_coordinates`), which the polygon keeps, with their two
-    denominators, in a field that takes no part in ``==``, ``hash`` or
-    ``repr``; :func:`legendre_eval` reads them.
+    Nodes given to the constructor are checked on integer coordinates (see
+    :func:`_integer_coordinates`); a hull's are convex by construction.
+    The polygon keeps those integers, with their two denominators, in a
+    field that takes no part in ``==``, ``hash`` or ``repr``;
+    :func:`legendre_eval` and the end points read them.  The hull of
+    :class:`IndexPoints` builds its nodes when they are first read.
     """
 
     nodes: Tuple[Tuple[Fraction, Fraction], ...]
@@ -58,12 +61,24 @@ class PLConvexFn:
         self._adopt(_integer_coordinates(self.nodes))
 
     @classmethod
-    def _from_scaled(cls, nodes, scaled: _Scaled) -> "PLConvexFn":
-        """The polygon on ``nodes``, given their integer coordinates already."""
+    def _from_scaled(cls, scaled: _Scaled, nodes=None) -> "PLConvexFn":
+        """The polygon on a hull sweep's integer coordinates, which hold by
+        construction and are kept unchecked.  Without ``nodes`` it builds
+        them from the integers when they are first read."""
         F = object.__new__(cls)
-        object.__setattr__(F, "nodes", nodes)
-        F._adopt(scaled)
+        object.__setattr__(F, "_scaled", scaled)
+        if nodes is not None:
+            object.__setattr__(F, "nodes", nodes)
         return F
+
+    def __getattr__(self, name):
+        # reached only when a slot is unset: the nodes of a polygon made without them
+        if name != "nodes":
+            raise AttributeError(name)
+        xs, ys, dx, dy = self._scaled
+        nodes = tuple((Fraction(X, dx), Fraction(Y, dy)) for X, Y in zip(xs, ys))
+        object.__setattr__(self, "nodes", nodes)
+        return nodes
 
     def _adopt(self, scaled: _Scaled) -> None:
         """Check the nodes on their integer coordinates, then keep those."""
@@ -84,15 +99,15 @@ class PLConvexFn:
 
     @property
     def x_first(self) -> Fraction:
-        return self.nodes[0][0]
+        return Fraction(self._scaled.xs[0], self._scaled.dx)
 
     @property
     def x_last(self) -> Fraction:
-        return self.nodes[-1][0]
+        return Fraction(self._scaled.xs[-1], self._scaled.dx)
 
     @property
     def y_last(self) -> Fraction:
-        return self.nodes[-1][1]
+        return Fraction(self._scaled.ys[-1], self._scaled.dy)
 
     def value_at(self, x) -> Value:
         """Evaluate, bisecting for the segment; +oo left of the first node,
@@ -134,28 +149,57 @@ def _integer_coordinates(points) -> _Scaled:
     return _Scaled([n * (dx // d) for n, d in xr], [n * (dy // d) for n, d in yr], dx, dy)
 
 
-def lower_hull(points: Sequence[Tuple[Fraction, Fraction]]) -> PLConvexFn:
+class IndexPoints:
+    """The points ``(i, ys[i-1] / dy)`` at the indices i = 1..n, kept as integers.
+
+    ``ys`` are ints and ``dy`` is a positive common denominator: a decay
+    profile's digits ``(i, q_i)`` on one p-power denominator, say.
+    :func:`lower_hull` sweeps these integers as they are.
+    """
+
+    __slots__ = ("ys", "dy")
+
+    def __init__(self, ys: Sequence[int], dy: int):
+        if dy < 1:
+            raise ValueError(f"the denominator must be positive, got {dy}")
+        self.ys, self.dy = ys, dy
+
+    def __len__(self) -> int:
+        return len(self.ys)
+
+
+def lower_hull(points: Union[Sequence[Tuple[Fraction, Fraction]], IndexPoints]) -> PLConvexFn:
     """Nonincreasing lower convex hull of finite points with rational coords.
 
     One monotone-chain sweep (:func:`_hull_sweep`) on integer coordinates
     (see :func:`_integer_coordinates`), O(n log n) for the sort and O(n)
     after it.  The nodes are the original points, each with the x of the
     last point at its abscissa, and the polygon keeps their integers.
+    :class:`IndexPoints` are swept on their own integers, already in order,
+    and their polygon builds its nodes when they are first read.  The
+    sweep's nodes are convex and nonincreasing by construction, so only
+    their sign is checked.
     """
     if not points:
         raise ValueError("need at least one point")
+    if isinstance(points, IndexPoints):
+        hx, hy, _ = _hull_sweep(enumerate(points.ys, 1))
+        return PLConvexFn._from_scaled(_Scaled(hx, hy, 1, points.dy))
     xs, ys, dx, dy = _integer_coordinates(points)
     ordered = sorted(zip(xs, ys, range(len(points))))
     lender = {X: k for X, _, k in ordered}
     hx, hy, kept = _hull_sweep(t[:2] for t in ordered)
+    if hx[0] < 0:
+        raise ValueError("node abscissae must be nonnegative")
     nodes = tuple((points[lender[X]][0], points[ordered[j][2]][1]) for X, j in zip(hx, kept))
-    return PLConvexFn._from_scaled(nodes, _Scaled(hx, hy, dx, dy))
+    return PLConvexFn._from_scaled(_Scaled(hx, hy, dx, dy), nodes)
 
 
 def _hull_sweep(points) -> Tuple[List[int], List[int], List[int]]:
     """Nodes' coordinates and positions of the nonincreasing lower hull of
     integer points sorted by (x, y).  A point no lower than the last node is
-    skipped; any other pops the nodes on or above its chord."""
+    skipped; any other pops the nodes on or above its chord, so collinear
+    interior points are dropped."""
     hx, hy, kept = [], [], []
     for j, (X, Y) in enumerate(points):
         if hy and Y >= hy[-1]:
@@ -176,31 +220,32 @@ def newton_polygon(f: Series) -> PLConvexFn:
     """
     if f.is_zero:
         raise ZeroSeriesError("the zero series has no Newton polygon")
-    pts = [(i, v) for i, a in f.terms if is_finite(v := f.domain.coeff_valuation(a))]
+    pts = []
+    for i, a in f.terms:
+        v = f.domain.coeff_valuation(a)
+        if is_finite(v):
+            pts.append((i, v))
     if not pts:
         raise ZeroSeriesError("no term with finite coefficient valuation")
     return lower_hull(pts)
 
 
 def legendre_eval(F: PLConvexFn, s) -> Fraction:
-    """Infimum Legendre transform ``inf_x (F(x) + s*x)`` at the point s (see :func:`_legendre_at`)."""
-    return _legendre_at(F._scaled, as_gauss_param(s))
-
-
-def _legendre_at(scaled: _Scaled, s: Fraction) -> Fraction:
-    """``min_k (y_k + s*x_k)`` over the nodes of a convex polygon, for s >= 0.
+    """Infimum Legendre transform ``inf_x (F(x) + s*x)`` at the point s.
 
     The infimum of a convex piecewise-linear function plus a nonnegative
-    linear term is attained at a node, so this minimum is exact.  Along the
-    nodes, ``y + s*x`` moves by ``(x' - x) * (slope + s)`` from
+    linear term is attained at a hull node, so a node minimum is exact.
+    Along the nodes, ``y + s*x`` moves by ``(x' - x) * (slope + s)`` from
     one node to the next; the slopes never fall, so once a step is >= 0
     every later one is, and the minimum sits at the first node whose next
-    step is >= 0: a binary search, O(log n) per s.  With ``x = X/dx``,
-    ``y = Y/dy`` and ``s = sn/sd``, a step is >= 0 when
-    ``(Y' - Y)*dx*sd + sn*dy*(X' - X)`` is.  The value at the node found,
-    ``(Y*dx*sd + sn*dy*X) / (dy*dx*sd)``, is the one Fraction built.
+    step is >= 0: a binary search, O(log n) per s.  It runs on the
+    polygon's integer coordinates: with ``x = X/dx``, ``y = Y/dy`` and
+    ``s = sn/sd``, a step is >= 0 when ``(Y' - Y)*dx*sd + sn*dy*(X' - X)``
+    is.  The value at the node found, ``(Y*dx*sd + sn*dy*X) / (dy*dx*sd)``,
+    is the one Fraction built.
     """
-    xs, ys, dx, dy = scaled
+    s = as_gauss_param(s)
+    xs, ys, dx, dy = F._scaled
     a, b = dx * s.denominator, s.numerator * dy
     k = bisect_left(
         range(len(xs) - 1),
@@ -225,7 +270,12 @@ def sup_distance(F: PLConvexFn, G: PLConvexFn) -> Fraction:
     if F.x_first != G.x_first:
         raise ValueError("polygons start at different abscissae")
     breakpoints = sorted({x for x, _ in F.nodes} | {x for x, _ in G.nodes})
-    return max((abs(F.value_at(x) - G.value_at(x)) for x in breakpoints), default=Fraction(0))
+    best = Fraction(0)
+    for x in breakpoints:
+        d = abs(F.value_at(x) - G.value_at(x))
+        if d > best:
+            best = d
+    return best
 
 
 @dataclass(frozen=True, slots=True)

@@ -25,9 +25,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .domains import CoefficientDomain, PadicDigits, PerfectPoly, XPoly, _p_power_denominator
+from .domains import CoefficientDomain, PadicDigits, PerfectPoly, _p_power_denominator
 from .errors import MNSeriesError
-from .polygon import _hull_sweep, _legendre_at, _Scaled
+from .polygon import IndexPoints, legendre_eval, lower_hull
 from .series import Mode, Series, canonicalize
 
 __all__ = [
@@ -387,19 +387,18 @@ def materialize(profile: ProfileElement, up_to: int, step=1) -> Series:
     which are disjoint.
 
     Each digit is built once, as the monomial ``x^(m/p^k)`` straight from
-    the digit rule's integers: a p-power denominator lies on every domain's
-    lattice, so it needs no ``x_power`` check.  The indices increase and
-    every digit is nonzero, so the terms are already in series form and skip
+    the digit rule's integers, with no lattice check (see the domain's
+    ``_p_power_monomial``).  The indices increase and every digit is
+    nonzero, so the terms are already in series form and skip
     ``Series.make``.  A ``MixedPoly`` profile is canonicalized once.
     O(up_to / h) digits, each O(1) big-integer operations in their size.
     """
     up_to = _positive_integer(up_to, "depth")
     dom = profile.domain
-    p, per_unit = dom.p, _steps_per_unit(step, dom.p)
+    per_unit = _steps_per_unit(step, dom.p)
     mode = Mode.FORMAL if isinstance(dom, PerfectPoly) else Mode.ARITHMETIC
-    terms = tuple((Fraction(n, per_unit), XPoly(((Fraction(m, p**k), 1),)))
-                  for n in range(per_unit, per_unit * up_to + 1)
-                  for m, k in (profile._digit(n, per_unit),))
+    terms = tuple((Fraction(n, per_unit), dom._p_power_monomial(*profile._digit(n, per_unit)))
+                  for n in range(per_unit, per_unit * up_to + 1))
     series = Series(dom, mode, terms, Fraction(up_to + 1))
     return canonicalize(series) if mode is Mode.ARITHMETIC else series
 
@@ -560,7 +559,9 @@ def chain_report(
     :func:`newton_polygon` reads off :func:`materialize` (the digit
     ``x^(q_i)`` has valuation q_i).  No series is built, so the report
     depends on the domain only through p: over a ``MixedPoly`` a depth at or
-    past N raises no ``PrecisionLossError``.  One pass over the grid does it all.
+    past N raises no ``PrecisionLossError``.  The digits stay the rule's
+    integers, on one denominator p^K (:class:`IndexPoints`), so no Fraction
+    is built per digit.  One pass over the grid does it all.
     """
     depth = _positive_integer(depth, "depth")
     grid = [Fraction(m) for m in mu_grid]
@@ -579,11 +580,11 @@ def chain_report(
             pairs.append((mu, lam, verdict, verdict == "omega"))
         digits = [profile._digit(i, 1) for i in range(1, depth + 1)]
         K, p = max(k for _, k in digits), dom.p  # every q_i = m / p^k on the denominator p^K
-        xs, ys, _ = _hull_sweep(enumerate([m * p ** (K - k) for m, k in digits], 1))
+        poly = lower_hull(IndexPoints([m * p ** (K - k) for m, k in digits], p**K))
         # the last ordinate is the least digit valuation: positive exactly when in the ideal
-        membership.append((mu, ys[-1] > 0))
-        hull, c_norm = _Scaled(xs, ys, 1, p**K), float(law.coeff)
-        rows = tuple((s, float(_legendre_at(hull, s)) / (c_norm * float(s) ** float(mu)))
+        membership.append((mu, poly.y_last > 0))
+        c_norm = float(law.coeff)
+        rows = tuple((s, float(legendre_eval(poly, s)) / (c_norm * float(s) ** float(mu)))
                      for s in RATIO_GRID)
         ratios.append((mu, rows))
 

@@ -243,6 +243,15 @@ def test_x_power_is_the_one_term_poly(dom):
             dom.x_power(bad)
 
 
+@pytest.mark.parametrize("dom", [PerfectPoly(3), PerfectPoly(2, "p-power"), MixedPoly(5, 3),
+                                 MixedPoly(3, 2, "p-power")])
+def test_p_power_monomial_is_the_checked_unit_monomial(dom):
+    for m in (0, 1, 2, dom.p, 7 * dom.p + 1, 10**40 + 3):
+        for k in (0, 1, 2, 5, 188):
+            got = dom._p_power_monomial(m, k)
+            assert got == dom.x_power(Q(m, dom.p**k)) and dom.validate(got) is got
+
+
 def test_residue_domain_built_once_per_prime_and_policy():
     for p in (2, 3, 5):
         for policy in ("p-power", "any"):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from mnseries import (
     INF,
+    IndexPoints,
     Mode,
     PadicDigits,
     PerfectPoly,
@@ -459,6 +460,31 @@ def test_lower_hull_equals_polygon_rebuilt_from_its_nodes():
         assert repr(F) == f"PLConvexFn(nodes={F.nodes!r})"
         for s in (Q(0), Q(3), Q(5, 7)):
             assert legendre_eval(F, s) == legendre_eval(G, s)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_index_points_hull_equals_the_hull_of_its_points(p):
+    rng = random.Random(470 + p)
+    for _ in range(120):
+        dy = p ** rng.randrange(0, 40)
+        ys = [rng.randrange(0, 6 * dy) for _ in range(rng.randrange(1, 60))]
+        F = lower_hull(IndexPoints(ys, dy))
+        G = lower_hull([(Q(i), Q(y, dy)) for i, y in enumerate(ys, 1)])
+        # values and end points first: they read the integers, before any node is built
+        for s in (Q(0), Q(1, 1024), Q(1, 16), Q(5, 7), Q(3)):
+            assert legendre_eval(F, s) == legendre_eval(G, s)
+        assert (F.x_first, F.x_last, F.y_last) == (G.x_first, G.x_last, G.y_last)
+        assert F.y_last == Q(min(ys), dy) and F.x_first == 1
+        assert F == G and hash(F) == hash(G) and repr(F) == repr(G)
+        assert F == PLConvexFn(F.nodes)
+
+
+def test_index_points_need_a_positive_denominator_and_a_point():
+    assert len(IndexPoints([3, 1, 4], 2)) == 3
+    with pytest.raises(ValueError, match="^the denominator must be positive, got 0$"):
+        IndexPoints([1], 0)
+    with pytest.raises(ValueError, match="^need at least one point$"):
+        lower_hull(IndexPoints([], 1))
 
 
 def test_invalid_nodes_from_translate_and_hull():

@@ -33,11 +33,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, lcm
 from typing import Iterable, Tuple, Union
 
 from .errors import DomainError
-from .values import INF, Value, as_exponent
+from .values import INF, Value, as_exponent, as_gauss_param
 
 __all__ = [
     "XPoly",
@@ -120,8 +120,13 @@ class _Domain:
     modulus and the six valuation, digit and reduction methods are written
     once here, with the mixed-characteristic formulas.  F_p is Z/p^1, so
     :class:`PerfectPoly` is the case N = 1, and a p-adic digit is the x^0
-    monomial.  Every public method validates its coefficient first;
-    :meth:`monomials` only reads.
+    monomial.  Every public method checks its coefficients and its Gauss
+    parameter, then calls a private kernel (``_coeff_valuation``,
+    ``_valuation_at``, ``_add``, ``_mul``) that trusts a domain element.
+    The exponent lattice is closed under addition, so a sum or product of
+    checked elements is one too: the library's valuations and pair products
+    call the kernels on the coefficients it built.  :meth:`monomials` only
+    reads.
     """
 
     __slots__ = ()
@@ -146,7 +151,9 @@ class _Domain:
 
     def coeff_valuation(self, a) -> Value:
         """x-adic valuation of the mod-p reduction; +oo if that reduction is zero."""
-        self.validate(a)
+        return self._coeff_valuation(self.validate(a))
+
+    def _coeff_valuation(self, a) -> Value:
         for e, c in self.monomials(a):
             if c % self.p:
                 return e
@@ -154,16 +161,24 @@ class _Domain:
 
     def base_valuation_at(self, a, s) -> Value:
         """min over monomials of s * ord_p(c_e) + e."""
-        self.validate(a)
+        return self._valuation_at(self.validate(a), as_gauss_param(s))
+
+    def _valuation_at(self, a, s: Fraction) -> Value:
         p = self.p
         best = INF
         for e, c in self.monomials(a):  # ascending e
             if c % p:  # no later monomial, at e' > e, can go below e
                 return e if best is INF or e < best else best
-            v = Fraction(s) * ordp(c, p)
+            v = s * ordp(c, p)
             v = v + e if e else v  # a p-adic digit sits at e = 0
             best = v if best is INF or v < best else best
         return best
+
+    def add(self, a, b):
+        return self._add(self.validate(a), self.validate(b))
+
+    def mul(self, a, b):
+        return self._mul(self.validate(a), self.validate(b))
 
     def is_canonical_digit(self, a) -> bool:
         """True when p does not divide the coefficient (some monomial survives mod p)."""
@@ -234,13 +249,34 @@ class _PolyDomain(_Domain):
     def is_zero(self, a: XPoly) -> bool:
         return a.is_zero
 
-    def add(self, a: XPoly, b: XPoly) -> XPoly:
-        return self.poly(list(a.monomials) + list(b.monomials))
+    def _add(self, a: XPoly, b: XPoly) -> XPoly:
+        """Sum of two elements: their exponents are already on the lattice."""
+        if not (a.monomials and b.monomials):
+            return a if a.monomials else b
+        modulus, acc = self.modulus, dict(a.monomials)
+        for e, c in b.monomials:
+            acc[e] = (acc.get(e, 0) + c) % modulus
+        return XPoly(tuple(sorted(m for m in acc.items() if m[1])))
 
-    def mul(self, a: XPoly, b: XPoly) -> XPoly:
-        return self.poly(
-            [(ea + eb, ca * cb) for ea, ca in a.monomials for eb, cb in b.monomials]
-        )
+    def _mul(self, a: XPoly, b: XPoly) -> XPoly:
+        """Product of two elements on integer numerators over one common
+        denominator, with one Fraction per output monomial.  The lattice is
+        closed under addition, so no product exponent needs a check."""
+        if not (a.monomials and b.monomials):
+            return XPoly(())
+        den = lcm(*(e.denominator for e, _ in a.monomials + b.monomials))
+        right = [(e.numerator * (den // e.denominator), c) for e, c in b.monomials]
+        acc: dict = {}
+        for e, ca in a.monomials:
+            na = e.numerator * (den // e.denominator)
+            for nb, cb in right:
+                acc[na + nb] = acc.get(na + nb, 0) + ca * cb
+        modulus, out = self.modulus, []
+        for n, c in sorted(acc.items()):
+            c %= modulus
+            if c:
+                out.append((Fraction(n, den), c))
+        return XPoly(tuple(out))
 
     def validate(self, a) -> XPoly:
         if not isinstance(a, XPoly):
@@ -312,10 +348,10 @@ class PadicDigits(_Domain):
     def is_zero(self, a: int) -> bool:
         return a == 0
 
-    def add(self, a: int, b: int) -> int:
+    def _add(self, a: int, b: int) -> int:
         return (a + b) % self.modulus
 
-    def mul(self, a: int, b: int) -> int:
+    def _mul(self, a: int, b: int) -> int:
         return (a * b) % self.modulus
 
     def validate(self, a) -> int:

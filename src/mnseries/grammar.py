@@ -157,15 +157,15 @@ def _parse_term(
             tz.next()
             inner = _parse_x_poly(tz, domain)
             tz.expect(")")
-            coeff = domain.mul(coeff, inner)
+            coeff = domain._mul(coeff, inner)
         elif tok == "x":
             if padic:
                 raise ParseError("coefficient variable 'x' needs a polynomial domain", at)
             e, c = _parse_x_monomial(tz, 1)
-            coeff = domain.mul(coeff, domain.x_power(e, c))
+            coeff = domain._mul(coeff, domain.x_power(e, c))
         elif tok.isdigit():
             tz.next()
-            coeff = domain.mul(coeff, domain.from_int(int(tok)))
+            coeff = domain._mul(coeff, domain.from_int(int(tok)))
         else:
             raise ParseError(f"unexpected token {tok!r}", at)
         if tz.peek() == "*":

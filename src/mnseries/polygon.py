@@ -21,7 +21,7 @@ from typing import Callable, List, NamedTuple, Sequence, Tuple, Union
 
 from .errors import ZeroSeriesError
 from .series import Series, add, gauss_valuation, mul
-from .values import INF, Value, as_gauss_param, format_value, is_finite
+from .values import INF, Value, _exact, as_gauss_param, format_value, is_finite
 
 __all__ = [
     "PLConvexFn",
@@ -35,6 +35,8 @@ __all__ = [
     "NPFReport",
     "verify_npf",
 ]
+
+_COORDINATES = "polygon coordinates must be exact rationals"
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,7 +114,7 @@ class PLConvexFn:
     def value_at(self, x) -> Value:
         """Evaluate, bisecting for the segment; +oo left of the first node,
         constant beyond the last."""
-        x = Fraction(x)
+        x = _exact(x, _COORDINATES)
         k = bisect_right(self.nodes, x, key=itemgetter(0))
         if k == 0:
             return INF
@@ -122,7 +124,7 @@ class PLConvexFn:
         return y1 + (y2 - y1) * (x - x1) / (x2 - x1)
 
     def translate(self, dx, dy) -> "PLConvexFn":
-        dx, dy = Fraction(dx), Fraction(dy)
+        dx, dy = _exact(dx, _COORDINATES), _exact(dy, _COORDINATES)
         return PLConvexFn(tuple((x + dx, y + dy) for x, y in self.nodes))
 
 
@@ -141,9 +143,10 @@ def _integer_coordinates(points) -> _Scaled:
     Scaling an axis by a positive constant keeps every order, equality and
     cross-product sign, so hull, convexity and Legendre tests can run on the
     integers, with any common denominator.  Here it is the least one.
+    A bool or a float coordinate is rejected, as an exponent is.
     """
-    xr = [x.as_integer_ratio() for x, _ in points]
-    yr = [y.as_integer_ratio() for _, y in points]
+    xr = [_exact(x, _COORDINATES).as_integer_ratio() for x, _ in points]
+    yr = [_exact(y, _COORDINATES).as_integer_ratio() for _, y in points]
     dx = lcm(*(d for _, d in xr))
     dy = lcm(*(d for _, d in yr))
     return _Scaled([n * (dx // d) for n, d in xr], [n * (dy // d) for n, d in yr], dx, dy)
@@ -222,7 +225,7 @@ def newton_polygon(f: Series) -> PLConvexFn:
         raise ZeroSeriesError("the zero series has no Newton polygon")
     pts = []
     for i, a in f.terms:
-        v = f.domain.coeff_valuation(a)
+        v = f.domain._coeff_valuation(a)
         if is_finite(v):
             pts.append((i, v))
     if not pts:

@@ -513,7 +513,7 @@ def discretely_approximate(
 
 def in_m(f: Series) -> bool:
     """Membership in the ideal of elements all of whose digits have positive valuation."""
-    return all(f.domain.coeff_valuation(a) > 0 for _, a in f.terms)
+    return all(f.domain._coeff_valuation(a) > 0 for _, a in f.terms)
 
 
 RATIO_GRID: Tuple[Fraction, ...] = tuple(Fraction(1, 2**k) for k in range(4, 11))

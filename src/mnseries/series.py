@@ -101,7 +101,15 @@ class CarryTrace:
 
 @dataclass(frozen=True, slots=True)
 class Series:
-    """Finite-support truncated series over a coefficient domain."""
+    """Finite-support truncated series over a coefficient domain.
+
+    :meth:`make` checks and coerces outside terms.  The raw constructor
+    checks nothing: the library's own operations build series with it, on
+    distinct ascending exponents below ``prec``, each with a nonzero element
+    of the domain, and the valuations and :func:`mul`'s products trust such
+    terms, reading them through the domain's unchecked kernels.
+    :func:`canonicalize` checks raw terms, through the domain's ``lift``.
+    """
 
     domain: CoefficientDomain
     mode: Mode
@@ -202,7 +210,7 @@ def mul(f: Series, g: Series) -> Tuple[Series, CarryTrace]:
     _check_compatible(f, g)
     prec = min(f.prec + g.order_bound(), g.prec + f.order_bound())
     dom = f.domain
-    terms = ((i + j, dom.mul(a, b)) for i, a in f.terms for j, b in g.terms if i + j < prec)
+    terms = ((i + j, dom._mul(a, b)) for i, a in f.terms for j, b in g.terms if i + j < prec)
     result = _assemble(dom, f.mode, terms, prec)
     carried = f.mode is Mode.ARITHMETIC
     return result, CarryTrace(f.support, g.support, result.support, prec, carried)
@@ -280,7 +288,7 @@ def _term_value_pairs(f: Series, s: Fraction) -> Iterator[Tuple[Fraction, int, i
     """``(i, num, den)`` per term in support order: its value ``v + s*i`` is
     ``num/den`` over the integers, and ``1/0`` when ``v`` is +oo."""
     sn, sd = s.numerator, s.denominator
-    valuation = f.domain.base_valuation_at
+    valuation = f.domain._valuation_at
     for i, a in f.terms:
         v, d = valuation(a, s), i.denominator * sd
         if v is INF:

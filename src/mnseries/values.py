@@ -63,11 +63,20 @@ def is_finite(v: Value) -> bool:
     return not isinstance(v, Infinity)
 
 
+def _exact(x, rule: str) -> Fraction:
+    """``x`` as a Fraction.  A bool or a float is not an exact rational: a
+    binary float lies on the 2-power lattice and True passes as 1, so either
+    would be taken silently; each raises ``ValueError(rule)``."""
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, (bool, float)):
+        raise ValueError(f"{rule}, got {x!r}")
+    return Fraction(x)
+
+
 def as_exponent(x) -> Fraction:
     """Coerce to a nonnegative exact rational exponent; a bool or a float is not one."""
-    if type(x) is not Fraction and isinstance(x, (bool, float)):
-        raise ValueError(f"exponents must be exact rationals, got {x!r}")
-    e = x if type(x) is Fraction else Fraction(x)
+    e = _exact(x, "exponents must be exact rationals")
     if e.numerator < 0:  # the denominator is positive
         raise ValueError(f"exponents must be nonnegative, got {e}")
     return e
@@ -75,9 +84,7 @@ def as_exponent(x) -> Fraction:
 
 def as_gauss_param(s) -> Fraction:
     """Coerce to a Gauss parameter (additive radius form, s >= 0); a bool or a float is not one."""
-    if type(s) is not Fraction and isinstance(s, (bool, float)):
-        raise ValueError(f"Gauss parameter must be an exact rational, got {s!r}")
-    v = s if type(s) is Fraction else Fraction(s)
+    v = _exact(s, "Gauss parameter must be an exact rational")
     if v < 0:
         raise ValueError(f"Gauss parameter must be nonnegative, got {v}")
     return v

@@ -131,6 +131,51 @@ def test_reduction_is_ring_homomorphism():
         assert dom.reduce_mod_p(dom.mul(a, b)) == res.mul(dom.reduce_mod_p(a), dom.reduce_mod_p(b))
 
 
+def test_public_add_and_mul_check_both_operands():
+    # each used to pass through unchecked: 6.0, 2, and 99 silently reduced to 3*x
+    pd = PadicDigits(2, 3)
+    for a, b in ((2.0, 3), (3, 2.0), (True, 9), (9, 1), (1, 8), (-1, 1)):
+        for op in (pd.add, pd.mul):
+            with pytest.raises(DomainError):
+                op(a, b)
+    dom = MixedPoly(2, 4)
+    wide = XPoly(((Q(1), 99),))
+    for op in (dom.add, dom.mul):
+        for a, b in ((wide, dom.one()), (dom.one(), wide), (3, dom.one())):
+            with pytest.raises(DomainError):
+                op(a, b)
+
+
+def test_base_valuation_rejects_a_negative_gauss_param():
+    for s in (-1, Q(-1, 3)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            PadicDigits(3).base_valuation_at(9, s)  # used to give -2 at s = -1
+    assert PadicDigits(3).base_valuation_at(9, "1/2") == 1
+
+
+def _reference_add(dom, a, b):
+    """The poly-based sum the merging kernel replaced."""
+    return dom.poly(list(a.monomials) + list(b.monomials))
+
+
+def _reference_mul(dom, a, b):
+    """The poly-based product the integer-numerator kernel replaced."""
+    return dom.poly([(ea + eb, ca * cb) for ea, ca in a.monomials for eb, cb in b.monomials])
+
+
+@pytest.mark.parametrize("dom", [PerfectPoly(2, "p-power"), PerfectPoly(3), PerfectPoly(5, "any"),
+                                 MixedPoly(2, 4, "p-power"), MixedPoly(3, 3), MixedPoly(5, 2, "p-power")])
+def test_kernels_match_the_poly_based_add_and_mul(dom):
+    rng = random.Random(f"kernels:{dom}")
+    for _ in range(400):
+        a, b = _rand_poly(rng, dom), _rand_poly(rng, dom)
+        total, product = _reference_add(dom, a, b), _reference_mul(dom, a, b)
+        assert dom.add(a, b) == dom._add(a, b) == total
+        assert dom.mul(a, b) == dom._mul(a, b) == product
+        for out in (dom._add(a, b), dom._mul(a, b)):
+            dom.validate(out)  # sorted and reduced
+
+
 @pytest.mark.parametrize("p", [0, 1, 4, 6, 9])
 def test_non_prime_p_rejected_in_every_domain(p):
     for make in (PerfectPoly, PadicDigits, MixedPoly):

@@ -62,6 +62,22 @@ def test_hull_collinear_middle_point():
     assert lower_hull(pts).nodes == ((Q(0), Q(2)), (Q(2), Q(0)))
 
 
+@pytest.mark.parametrize("bad", [0.1, 0.5, 2.0, True, False])
+def test_bool_and_float_polygon_coordinates_are_rejected(bad):
+    # lower_hull([(0.5, 1.0), (1, True)]).nodes used to be ((0.5, 1.0),)
+    F = PLConvexFn(((Q(0), Q(2)), (Q(2), Q(0))))
+    for make in (lower_hull, PLConvexFn):
+        for pts in (((bad, Q(1)),), ((Q(0), Q(2)), (Q(3), bad))):
+            with pytest.raises(ValueError, match="exact rational"):
+                make(pts)
+    for call in (lambda: F.value_at(bad), lambda: F.translate(bad, 0), lambda: F.translate(0, bad)):
+        with pytest.raises(ValueError, match="exact rational"):
+            call()
+    # the exact spellings of the same values stay accepted, and keep their types
+    assert lower_hull([(0, 2), (2, 0)]).nodes == ((0, 2), (2, 0))
+    assert F.translate(1, Q(1, 2)).value_at("2") == Q(3, 2)
+
+
 def test_hull_increasing_values_flatten():
     pts = [(Q(0), Q(1)), (Q(1), Q(2))]
     F = lower_hull(pts)

@@ -26,8 +26,10 @@ from mnseries import (
     box_witness,
     canonicalize,
     gauss_valuation,
+    is_finite,
     localize,
     mul,
+    newton_polygon,
     restrict,
     term_values,
 )
@@ -139,6 +141,8 @@ def test_bool_and_float_exponents_and_gauss_params_are_rejected(bad):
         restrict(f, 0, bad, INF, 1)
     with pytest.raises(ValueError, match="exact rational"):
         bar_witness(f, 1, bad)
+    with pytest.raises(ValueError, match="exact rational"):
+        PadicDigits(3).base_valuation_at(9, bad)  # used to give 1 at 0.5 and 2 at True
     # the exact spellings of the same values stay accepted
     assert Series.make(dom, Mode.FORMAL, [(1, dom.one())], prec=2).support == (Q(1),)
     assert gauss_valuation(f, "1/2") == (Q(1, 4), True)
@@ -327,20 +331,31 @@ def test_mul_and_add_match_make_on_the_same_terms(dom, mode):
 
 @pytest.mark.parametrize("dom, mode", _FACTOR_DOMAINS)
 def test_library_built_terms_are_not_coerced_again(dom, mode, monkeypatch):
+    # nor validated again: the library reads its own terms through the domain kernels
     rng = random.Random(f"no-coerce:{dom}:{mode.value}")
     f, g = _random_factor(rng, dom, mode), _random_factor(rng, dom, mode)
     while f.is_zero or g.is_zero:  # localize needs nonzero factors
         f, g = _random_factor(rng, dom, mode), _random_factor(rng, dom, mode)
-    coerce, calls = type(dom).coerce, []
-    monkeypatch.setattr(type(dom), "coerce", lambda self, a: calls.append(a) or coerce(self, a))
+    polygon = any(is_finite(dom.coeff_valuation(a)) for _, a in f.terms)
+    calls = []
+    for name in ("coerce", "validate", "poly"):
+        if hasattr(dom, name):  # PadicDigits has no poly
+            method = getattr(type(dom), name)
+            monkeypatch.setattr(type(dom), name, lambda self, a, name=name, method=method:
+                                calls.append(name) or method(self, a))
     mul(f, g)
     add(f, g)
+    assert set(calls) <= {"validate"}  # only the fold of equal exponents checks its sums
+    calls.clear()
     f.with_prec(Q(2))
     restrict(f, 0, Q(6), gauss_valuation(f, 1)[0] + 2, 1)
     localize(f, g, 1)
+    if polygon:  # else there is no polygon
+        newton_polygon(f)
     assert calls == []
     Series.make(dom, mode, f.terms, f.prec)  # the patch does see the boundary
-    assert len(calls) == len(f.terms)
+    assert calls.count("coerce") == len(f.terms)
+    assert calls.count("poly") == (0 if isinstance(dom, PadicDigits) else len(f.terms))
 
 
 # --- canonicalize ---------------------------------------------------------

@@ -218,13 +218,22 @@ class _PolyDomain(_Domain):
         return e
 
     def poly(self, terms: Iterable[Tuple[Fraction, int]]) -> XPoly:
-        """Build a coefficient from (exponent, integer) pairs, reducing mod the modulus."""
-        acc: dict = {}
-        modulus = self.modulus
+        """Build a coefficient from (exponent, integer) pairs, reducing mod the modulus.
+
+        One pass checks each pair in order, the lattice once per distinct
+        denominator, and sums on the integer key (numerator, denominator); the
+        output sorts on numerators over the lcm and keeps the checked exponents.
+        """
+        acc: dict = {}  # (numerator, denominator) -> [exponent, unreduced sum]
+        dens: set = set()  # denominators already on the lattice
         for e, c in terms:
-            e = self._check_exponent(e)
-            acc[e] = (acc.get(e, 0) + int(c)) % modulus
-        return XPoly(tuple(sorted((e, c) for e, c in acc.items() if c)))
+            e = as_exponent(e)
+            if e.denominator not in dens:
+                dens.add(self._check_exponent(e).denominator)
+            acc.setdefault((e.numerator, e.denominator), [e, 0])[1] += _integer(c)
+        den, modulus = lcm(*dens), self.modulus
+        out = sorted((n * (den // d), e, c % modulus) for (n, d), (e, c) in acc.items())
+        return XPoly(tuple((e, c) for _, e, c in out if c))
 
     def zero(self) -> XPoly:
         return XPoly(())
@@ -238,7 +247,7 @@ class _PolyDomain(_Domain):
     def x_power(self, e, c: int = 1) -> XPoly:
         """The monomial ``c * x^e``: what :meth:`poly` gives for one term."""
         e = self._check_exponent(e)
-        c = int(c) % self.modulus
+        c = _integer(c) % self.modulus
         return XPoly(((e, c),) if c else ())
 
     def _p_power_monomial(self, m: int, k: int) -> XPoly:
@@ -343,7 +352,7 @@ class PadicDigits(_Domain):
         return 1
 
     def from_int(self, n: int) -> int:
-        return int(n) % self.modulus
+        return _integer(n) % self.modulus
 
     def is_zero(self, a: int) -> bool:
         return a == 0

@@ -4,8 +4,8 @@ A profile is the closed-form element whose Newton polygon tracks a power
 law ``c * x^(-r)``.  Its infimum Legendre transform is ``K * s^mu`` with
 ``mu = r/(r+1)``; normalizing ``K = 1`` forces ``c = r^r / (r+1)^(r+1)``,
 which this module computes exactly (as a rational when it is one, as a
-validated rational interval otherwise) and cross-checks against a direct
-grid-minimization of ``inf_x (c x^(-r) + s x)``.
+certified rational interval otherwise) and checks in integers: with
+``r = a/b``, ``c^b (a+b)^(a+b) = a^a b^b``.
 
 Materializing a profile yields a genuine truncated series whose digit at
 index i is ``x^(q_i)`` with ``q_i`` a lattice rational within the ``o(G)``
@@ -105,32 +105,20 @@ def _nth_root_interval(q: Fraction, n: int, precision_bits: int = 64) -> Rationa
     return RationalInterval(Fraction(m, den * scale), Fraction(m + 1, den * scale))
 
 
-def _numeric_power_legendre(c: float, r: float, s: float) -> float:
-    """Grid/ternary minimization of ``c x^-r + s x`` over x > 0."""
-    lo, hi = math.log(1e-12), math.log(1e12)
-    fn = lambda lx: c * math.exp(-r * lx) + s * math.exp(lx)
-    for _ in range(200):
-        m1 = lo + (hi - lo) / 3
-        m2 = hi - (hi - lo) / 3
-        if fn(m1) < fn(m2):
-            hi = m2
-        else:
-            lo = m1
-    return fn((lo + hi) / 2)
-
-
-def _validate_inverse_constant(c: float, r: float, mu: Fraction) -> None:
-    """The minimization oracle must reproduce s^mu to 1e-6 relative error."""
-    mu_f = float(mu)
-    for j in range(1, 21):
-        s = j / 20
-        expected = s**mu_f
-        got = _numeric_power_legendre(c, r, s)
-        if abs(got - expected) > 1e-6 * expected:
-            raise MNSeriesError(
-                f"inverse Legendre constant failed validation at s={s}: "
-                f"{got} vs {expected}"
-            )
+def _certify_inverse_constant(c: Union[Fraction, RationalInterval], a: int, b: int) -> None:
+    """Exact check that c solves ``c^b (a+b)^(a+b) = a^a b^b`` (r = a/b), with
+    denominators cleared: a rational ``u/v`` must give
+    ``u^b (a+b)^(a+b) = a^a b^b v^b``, and an interval must bracket that value."""
+    target, scale = a**a * b**b, (a + b) ** (a + b)
+    if isinstance(c, Fraction):
+        ok = c.numerator**b * scale == target * c.denominator**b
+    else:
+        lo, hi = c.lo, c.hi
+        ok = (lo.numerator**b * scale <= target * lo.denominator**b
+              and target * hi.denominator**b <= hi.numerator**b * scale)
+    if not ok:
+        raise MNSeriesError(
+            f"inverse Legendre constant {c} for r={Fraction(a, b)} failed its certificate")
 
 
 def inverse_legendre_power(mu) -> Tuple[Union[Fraction, RationalInterval], Fraction]:
@@ -139,8 +127,9 @@ def inverse_legendre_power(mu) -> Tuple[Union[Fraction, RationalInterval], Fract
     ``r = mu / (1 - mu)`` exactly.  Writing r = a/b in lowest terms,
     ``c^b = a^a b^b / (a+b)^(a+b)``; c is returned as an exact rational
     when that quotient is a perfect b-th power and as a certified interval
-    otherwise.  The constant is accepted only after the grid-minimization
-    oracle confirms the transform at twenty sample points.
+    otherwise.  The constant is accepted only after the exact integer
+    certificate ``c^b (a+b)^(a+b) = a^a b^b`` holds, or, for an interval,
+    brackets it.
     """
     return _inverse_legendre_power_cached(Fraction(mu))
 
@@ -157,11 +146,9 @@ def _inverse_legendre_power_cached(mu: Fraction) -> Tuple[Union[Fraction, Ration
     c: Union[Fraction, RationalInterval]
     if root_num**b == num and root_den**b == den:
         c = Fraction(root_num, root_den)
-        c_float = float(c)
     else:
         c = _nth_root_interval(Fraction(num, den), b)
-        c_float = float(c.midpoint)
-    _validate_inverse_constant(c_float, float(r), mu)
+    _certify_inverse_constant(c, a, b)
     return c, r
 
 

@@ -177,13 +177,15 @@ def _check_compatible(f: Series, g: Series) -> None:
 def _assemble(dom: CoefficientDomain, mode: Mode, terms: Iterable, prec: Value) -> Series:
     """The series of checked (exponent, coefficient) pairs: equal exponents
     below ``prec`` are folded with ``dom.add``, then carried in Arithmetic
-    mode, or stripped of zeros and sorted in Formal mode."""
+    mode, or stripped of zeros and sorted in Formal mode.  Below an infinite
+    frontier every exponent passes, so no exponent is compared with it."""
     if mode is Mode.ARITHMETIC and isinstance(dom, PerfectPoly):
         raise ModeMismatchError("arithmetic (p-adic) mode needs a mixed-characteristic "
                                 "domain; PerfectPoly has characteristic p")
     acc: dict = {}
+    finite = not isinstance(prec, Infinity)
     for e, a in terms:
-        if e >= prec:
+        if finite and e >= prec:
             continue
         if e in acc:
             acc[e] = dom.add(acc[e], a)
@@ -210,7 +212,10 @@ def mul(f: Series, g: Series) -> Tuple[Series, CarryTrace]:
     _check_compatible(f, g)
     prec = min(f.prec + g.order_bound(), g.prec + f.order_bound())
     dom = f.domain
-    terms = ((i + j, dom._mul(a, b)) for i, a in f.terms for j, b in g.terms if i + j < prec)
+    if isinstance(prec, Infinity):  # every pair product lies below the frontier
+        terms = ((i + j, dom._mul(a, b)) for i, a in f.terms for j, b in g.terms)
+    else:
+        terms = ((i + j, dom._mul(a, b)) for i, a in f.terms for j, b in g.terms if i + j < prec)
     result = _assemble(dom, f.mode, terms, prec)
     carried = f.mode is Mode.ARITHMETIC
     return result, CarryTrace(f.support, g.support, result.support, prec, carried)

@@ -38,6 +38,7 @@ from .profiles import (
 from .series import (
     Mode,
     Series,
+    _assemble,
     add,
     argnorm,
     bar_witness,
@@ -48,7 +49,7 @@ from .series import (
     mul,
     term_values,
 )
-from .values import format_value
+from .values import INF, format_value
 
 __all__ = ["SuiteResult", "SUITES", "run_suite", "run_all", "format_report", "suite_names"]
 
@@ -131,7 +132,7 @@ def _rand_series(
                 else _rand_exponent(rng, dom.p, False, 6)
             )
             terms.append((e, _rand_coeff(rng, dom)))
-        f = Series.make(dom, mode, terms)
+        f = _assemble(dom, mode, terms, INF)  # domain elements on nonnegative Fractions
         if not (nonzero and f.is_zero):
             return f
 

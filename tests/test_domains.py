@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from mnseries import INF, DomainError, MixedPoly, PadicDigits, PerfectPoly, XPoly, ordp
+from mnseries import INF, DomainError, MixedPoly, Mode, PadicDigits, PerfectPoly, Series, XPoly, ordp
 from mnseries.domains import _p_power_denominator
 
 
@@ -174,6 +174,78 @@ def test_kernels_match_the_poly_based_add_and_mul(dom):
         assert dom.mul(a, b) == dom._mul(a, b) == product
         for out in (dom._add(a, b), dom._mul(a, b)):
             dom.validate(out)  # sorted and reduced
+
+
+def test_float_and_bool_coefficients_are_rejected():
+    # each used to be truncated silently: 2 + x, 7, 7, 2*x and the coefficient 2
+    dom = MixedPoly(3, 4)
+    for build in (lambda: dom.poly([(Q(0), 2.5), (Q(1), True)]),
+                  lambda: dom.poly([(Q(1), True)]),
+                  lambda: dom.from_int(7.9),
+                  lambda: PadicDigits(3, 4).from_int(7.9),
+                  lambda: dom.x_power(1, 2.7),
+                  lambda: Series.make(dom, Mode.FORMAL, [(0, XPoly(((Q(0), 2.5),)))])):
+        with pytest.raises(DomainError, match="expected an integer coefficient"):
+            build()
+
+
+def _reference_poly(dom, terms):
+    """The per-monomial poly that the one-pass poly replaced."""
+    acc = {}
+    for e, c in terms:
+        e = dom._check_exponent(e)
+        acc[e] = (acc.get(e, 0) + int(c)) % dom.modulus
+    return XPoly(tuple(sorted((e, c) for e, c in acc.items() if c)))
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except (ValueError, DomainError) as err:
+        return type(err), str(err)
+
+
+_POLY_FAULTS = ((Q(-1, 2), 1), (Q(1, 7), 1), (0.5, 1), (True, 1), (Q(1), 2.5), (Q(0), True),
+                (Q(1, 2), 3.0))
+
+
+def _poly_terms(rng, dom):
+    """Unsorted and repeated exponents over mixed denominators, some of them
+    summing to 0 mod p^N, and in a third of the cases one or two faults."""
+    p, modulus = dom.p, dom.modulus
+    dens = (1, p, p * p, 2, 3, 6)
+    exps = [Q(rng.randrange(0, 12), rng.choice(dens)) for _ in range(rng.randrange(1, 4))] + [3, "1/2"]
+    terms = []
+    for _ in range(rng.randrange(0, 7)):
+        e = rng.choice(exps)
+        c = rng.choice((1, p - 1, rng.randrange(-modulus, 3 * modulus), 10**30 + 7))
+        terms.append((e, c))
+        if rng.random() < 0.3:
+            terms.append((e, rng.choice((-c, modulus - c))))
+    if rng.random() < 0.35:
+        for _ in range(rng.randrange(1, 3)):
+            terms.insert(rng.randrange(len(terms) + 1), rng.choice(_POLY_FAULTS))
+    return terms
+
+
+@pytest.mark.parametrize("dom", [PerfectPoly(2, "p-power"), PerfectPoly(3), MixedPoly(2, 4, "p-power"),
+                                 MixedPoly(3, 3), MixedPoly(5, 2, "p-power"), MixedPoly(5, 2, "any")])
+def test_poly_matches_the_per_monomial_reference(dom):
+    rng = random.Random(f"poly:{dom}")
+    for _ in range(500):
+        terms = _poly_terms(rng, dom)
+        inexact = [k for k, (_, c) in enumerate(terms) if isinstance(c, (bool, float))]
+        if inexact:  # the one change: the first float or bool coefficient raises after its exponent
+            k = inexact[0]
+            expected = _outcome(_reference_poly, dom, terms[:k] + [(terms[k][0], 0)])
+            if isinstance(expected, XPoly):
+                expected = (DomainError, f"expected an integer coefficient, got {terms[k][1]!r}")
+        else:
+            expected = _outcome(_reference_poly, dom, terms)
+        got = _outcome(dom.poly, terms)
+        assert got == expected, terms
+        if isinstance(got, XPoly):
+            assert dom.validate(got) is got and all(type(e) is Q for e, _ in got.monomials)
 
 
 @pytest.mark.parametrize("p", [0, 1, 4, 6, 9])

@@ -16,6 +16,7 @@ import mnseries.profiles as profiles_module
 from mnseries import (
     INF,
     ChainReport,
+    MNSeriesError,
     MixedPoly,
     Mode,
     PadicDigits,
@@ -106,11 +107,23 @@ def test_inverse_legendre_domain():
 
 
 def test_grid_minimization_oracle_confirms_constant():
-    c, r = inverse_legendre_power(Q(1, 2))
-    for j in range(1, 21):
-        s = j / 20
-        got = minimize_on_grid(float(c), float(r), s)
-        assert abs(got - math.sqrt(s)) <= 1e-6 * math.sqrt(s)
+    # the numeric cross-check of the certified constants, exact and interval
+    for mu in (Q(1, 2), Q(2, 3), Q(1, 8), Q(1, 16), Q(3, 8), Q(15, 16)):
+        c, r = inverse_legendre_power(mu)
+        c = c.midpoint if isinstance(c, RationalInterval) else c
+        for j in range(1, 21):
+            s = j / 20
+            want = s ** float(mu)
+            assert abs(minimize_on_grid(float(c), float(r), s) - want) <= 1e-6 * want, (mu, s)
+
+
+def test_inverse_constant_certificate_rejects_a_wrong_constant():
+    certify = profiles_module._certify_inverse_constant
+    certify(Q(1, 4), 1, 1)  # r = 1: c = 1/4
+    certify(RationalInterval(Q(1, 5), Q(1, 3)), 1, 1)
+    for wrong in (Q(1, 3), RationalInterval(Q(1, 5), Q(6, 25)), RationalInterval(Q(26, 100), Q(1, 3))):
+        with pytest.raises(MNSeriesError, match="certificate"):
+            certify(wrong, 1, 1)
 
 
 def test_profile_digit_rule_spec_values():

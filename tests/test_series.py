@@ -327,6 +327,12 @@ def test_mul_and_add_match_make_on_the_same_terms(dom, mode):
         pairs = [(i + j, dom.mul(a, b)) for i, a in f.terms for j, b in g.terms]
         assert mul(f, g)[0] == Series.make(dom, mode, pairs, prec)
         assert add(f, g) == Series.make(dom, mode, f.terms + g.terms, min(f.prec, g.prec))
+        if f.prec is INF and g.prec is INF:  # the same terms as under a frontier above them all
+            top = Q(10**6)
+            f_top, g_top = f.with_prec(top), g.with_prec(top)
+            assert mul(f, g)[0].terms == mul(f_top, g_top)[0].terms
+            assert add(f, g).terms == add(f_top, g_top).terms
+            assert Series.make(dom, mode, pairs).terms == Series.make(dom, mode, pairs, top).terms
 
 
 @pytest.mark.parametrize("dom, mode", _FACTOR_DOMAINS)

@@ -2,11 +2,14 @@
 
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
 
-from mnseries import format_report, run_all, run_suite, suite_names
+import mnseries.verify as verify_module
+from mnseries import (MixedPoly, PadicDigits, PerfectPoly, Series, format_report, run_all, run_suite,
+                      suite_names)
 
 
 def test_every_registered_suite_passes_briefly():
@@ -75,3 +78,19 @@ def test_reports_match_the_recorded_digests():
 def test_case_count_must_be_a_positive_int(bad):
     with pytest.raises(ValueError, match=f"^the case count must be an int >= 1, got {bad!r}$"):
         run_suite("roundtrip", bad, 0)
+
+
+def test_generated_series_are_not_coerced_again(monkeypatch):
+    # the generator draws domain elements on nonnegative Fractions and hands them straight to the fold
+    calls = []
+    for cls in (PerfectPoly, PadicDigits, MixedPoly):
+        method = cls.coerce
+        monkeypatch.setattr(cls, "coerce",
+                            lambda self, a, method=method: calls.append(a) or method(self, a))
+    rng = random.Random("generated")
+    drawn = [(verify_module._rand_series(rng, dom, mode), dom, mode)
+             for _ in range(30) for dom, mode in verify_module._setups(rng)]
+    assert calls == []
+    for f, dom, mode in drawn:
+        assert Series.make(dom, mode, f.terms) == f
+    assert len(calls) == sum(len(f.terms) for f, _, _ in drawn)

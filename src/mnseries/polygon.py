@@ -46,12 +46,13 @@ class PLConvexFn:
     ``nodes`` are the hull vertices with strictly increasing x.  The
     function is +oo on [0, x_first) and extends with constant value beyond
     the last node; consecutive slopes are nondecreasing and nonpositive.
-    Nodes given to the constructor are checked on integer coordinates (see
-    :func:`_integer_coordinates`); a hull's are convex by construction.
-    The polygon keeps those integers, with their two denominators, in a
-    field that takes no part in ``==``, ``hash`` or ``repr``;
-    :func:`legendre_eval` and the end points read them.  The hull of
-    :class:`IndexPoints` builds its nodes when they are first read.
+    The polygon is held as its nodes' integer coordinates over one
+    denominator per axis, in a field that takes no part in ``==``, ``hash``
+    or ``repr``; :func:`legendre_eval` and the end points read them.  Nodes
+    given to the constructor are checked on those integers (see
+    :func:`_integer_coordinates`) and kept as given.  A hull's integers are
+    convex by construction, and its nodes are built from them, as
+    ``Fraction`` pairs, when they are first read.
     """
 
     nodes: Tuple[Tuple[Fraction, Fraction], ...]
@@ -60,30 +61,7 @@ class PLConvexFn:
     def __post_init__(self):
         if not self.nodes:
             raise ValueError("a polygon needs at least one node")
-        self._adopt(_integer_coordinates(self.nodes))
-
-    @classmethod
-    def _from_scaled(cls, scaled: _Scaled, nodes=None) -> "PLConvexFn":
-        """The polygon on a hull sweep's integer coordinates, which hold by
-        construction and are kept unchecked.  Without ``nodes`` it builds
-        them from the integers when they are first read."""
-        F = object.__new__(cls)
-        object.__setattr__(F, "_scaled", scaled)
-        if nodes is not None:
-            object.__setattr__(F, "nodes", nodes)
-        return F
-
-    def __getattr__(self, name):
-        # reached only when a slot is unset: the nodes of a polygon made without them
-        if name != "nodes":
-            raise AttributeError(name)
-        xs, ys, dx, dy = self._scaled
-        nodes = tuple((Fraction(X, dx), Fraction(Y, dy)) for X, Y in zip(xs, ys))
-        object.__setattr__(self, "nodes", nodes)
-        return nodes
-
-    def _adopt(self, scaled: _Scaled) -> None:
-        """Check the nodes on their integer coordinates, then keep those."""
+        scaled = _integer_coordinates(self.nodes)
         xs, ys = scaled.xs, scaled.ys
         if any(x < 0 for x in xs):
             raise ValueError("node abscissae must be nonnegative")
@@ -98,6 +76,23 @@ class PLConvexFn:
         ):
             raise ValueError("slopes must be nondecreasing (convexity)")
         object.__setattr__(self, "_scaled", scaled)
+
+    @classmethod
+    def _from_scaled(cls, scaled: _Scaled) -> "PLConvexFn":
+        """The polygon on a hull sweep's integer coordinates, which hold by
+        construction and are kept unchecked."""
+        F = object.__new__(cls)
+        object.__setattr__(F, "_scaled", scaled)
+        return F
+
+    def __getattr__(self, name):
+        # reached only when a slot is unset: the nodes of a hull, before their first read
+        if name != "nodes":
+            raise AttributeError(name)
+        xs, ys, dx, dy = self._scaled
+        nodes = tuple((Fraction(X, dx), Fraction(Y, dy)) for X, Y in zip(xs, ys))
+        object.__setattr__(self, "nodes", nodes)
+        return nodes
 
     @property
     def x_first(self) -> Fraction:
@@ -157,14 +152,20 @@ class IndexPoints:
 
     ``ys`` are ints and ``dy`` is a positive common denominator: a decay
     profile's digits ``(i, q_i)`` on one p-power denominator, say.
-    :func:`lower_hull` sweeps these integers as they are.
+    :func:`lower_hull` sweeps these integers as they are, so anything else
+    (a bool or a float among them) raises ``ValueError`` here.
     """
 
     __slots__ = ("ys", "dy")
 
     def __init__(self, ys: Sequence[int], dy: int):
+        if type(dy) is not int:
+            raise ValueError(f"the denominator must be an int, got {dy!r}")
         if dy < 1:
             raise ValueError(f"the denominator must be positive, got {dy}")
+        bad = [y for y in ys if type(y) is not int]
+        if bad:
+            raise ValueError(f"the ordinates must be ints, got {bad[0]!r}")
         self.ys, self.dy = ys, dy
 
     def __len__(self) -> int:
@@ -176,43 +177,37 @@ def lower_hull(points: Union[Sequence[Tuple[Fraction, Fraction]], IndexPoints]) 
 
     One monotone-chain sweep (:func:`_hull_sweep`) on integer coordinates
     (see :func:`_integer_coordinates`), O(n log n) for the sort and O(n)
-    after it.  The nodes are the original points, each with the x of the
-    last point at its abscissa, and the polygon keeps their integers.
-    :class:`IndexPoints` are swept on their own integers, already in order,
-    and their polygon builds its nodes when they are first read.  The
-    sweep's nodes are convex and nonincreasing by construction, so only
-    their sign is checked.
+    after it.  :class:`IndexPoints` are swept on their own integers,
+    already in order.  The sweep's nodes are convex and nonincreasing by
+    construction, so only their sign is checked.
     """
     if not points:
         raise ValueError("need at least one point")
     if isinstance(points, IndexPoints):
-        hx, hy, _ = _hull_sweep(enumerate(points.ys, 1))
-        return PLConvexFn._from_scaled(_Scaled(hx, hy, 1, points.dy))
-    xs, ys, dx, dy = _integer_coordinates(points)
-    ordered = sorted(zip(xs, ys, range(len(points))))
-    lender = {X: k for X, _, k in ordered}
-    hx, hy, kept = _hull_sweep(t[:2] for t in ordered)
+        ordered, dx, dy = enumerate(points.ys, 1), 1, points.dy
+    else:
+        xs, ys, dx, dy = _integer_coordinates(points)
+        ordered = sorted(zip(xs, ys))
+    hx, hy = _hull_sweep(ordered)
     if hx[0] < 0:
         raise ValueError("node abscissae must be nonnegative")
-    nodes = tuple((points[lender[X]][0], points[ordered[j][2]][1]) for X, j in zip(hx, kept))
-    return PLConvexFn._from_scaled(_Scaled(hx, hy, dx, dy), nodes)
+    return PLConvexFn._from_scaled(_Scaled(hx, hy, dx, dy))
 
 
-def _hull_sweep(points) -> Tuple[List[int], List[int], List[int]]:
-    """Nodes' coordinates and positions of the nonincreasing lower hull of
-    integer points sorted by (x, y).  A point no lower than the last node is
-    skipped; any other pops the nodes on or above its chord, so collinear
-    interior points are dropped."""
-    hx, hy, kept = [], [], []
-    for j, (X, Y) in enumerate(points):
+def _hull_sweep(points) -> Tuple[List[int], List[int]]:
+    """Nodes' coordinates of the nonincreasing lower hull of integer points
+    sorted by (x, y).  A point no lower than the last node is skipped; any
+    other pops the nodes on or above its chord, so collinear interior
+    points are dropped."""
+    hx, hy = [], []
+    for X, Y in points:
         if hy and Y >= hy[-1]:
             continue
         while len(hx) >= 2 and (hy[-1] - hy[-2]) * (X - hx[-2]) >= (Y - hy[-2]) * (hx[-1] - hx[-2]):
-            del hx[-1], hy[-1], kept[-1]
+            del hx[-1], hy[-1]
         hx.append(X)
         hy.append(Y)
-        kept.append(j)
-    return hx, hy, kept
+    return hx, hy
 
 
 def newton_polygon(f: Series) -> PLConvexFn:

@@ -29,6 +29,7 @@ from .domains import CoefficientDomain, PadicDigits, PerfectPoly, _p_power_denom
 from .errors import MNSeriesError
 from .polygon import IndexPoints, legendre_eval, lower_hull
 from .series import Mode, Series, canonicalize
+from .values import _exact
 
 __all__ = [
     "RationalInterval",
@@ -49,6 +50,8 @@ __all__ = [
     "in_m",
     "supremum_example",
 ]
+
+_EXPONENTS = "profile exponents must be exact rationals"
 
 
 class TargetError(MNSeriesError):
@@ -131,7 +134,7 @@ def inverse_legendre_power(mu) -> Tuple[Union[Fraction, RationalInterval], Fract
     certificate ``c^b (a+b)^(a+b) = a^a b^b`` holds, or, for an interval,
     brackets it.
     """
-    return _inverse_legendre_power_cached(Fraction(mu))
+    return _inverse_legendre_power_cached(_exact(mu, _EXPONENTS))
 
 
 @lru_cache(maxsize=None)
@@ -348,7 +351,7 @@ def deviation_within_bound(profile: ProfileElement, i, q: Fraction) -> bool:
 
 def _steps_per_unit(step, p: int) -> int:
     """p^j for an index step 1/p^j; any other step is rejected."""
-    h = Fraction(step)
+    h = _exact(step, "index steps must be exact rationals")
     if h.numerator != 1 or not _p_power_denominator(h.denominator, p):
         raise ValueError(f"index step must be 1/p^j with p = {p}, got {h}")
     return h.denominator
@@ -445,7 +448,8 @@ def discretely_approximate(
     An index that is not an integer >= 1 raises ValueError; increasing or
     non-convex targets are rejected with the violating triple.
     """
-    nodes = [(_positive_integer(i, "target index"), Fraction(g)) for i, g in targets]
+    nodes = [(_positive_integer(i, "target index"), _exact(g, "target values must be exact rationals"))
+             for i, g in targets]
     if isinstance(domain, PadicDigits):
         raise ValueError("discrete approximation needs a polynomial coefficient domain")
     if not nodes:
@@ -551,7 +555,7 @@ def chain_report(
     is built per digit.  One pass over the grid does it all.
     """
     depth = _positive_integer(depth, "depth")
-    grid = [Fraction(m) for m in mu_grid]
+    grid = [_exact(m, _EXPONENTS) for m in mu_grid]
     if any(not 0 < m < 1 for m in grid):
         raise ValueError("grid exponents must lie in (0, 1)")
     if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -592,7 +596,7 @@ def supremum_example(
     values for n = 1..depth together with the exact limit.
     """
     depth = _positive_integer(depth, "depth")
-    s = Fraction(s)
+    s = _exact(s, "s must be an exact rational")
     if s <= 0:
         raise ValueError("s must be positive")
     rule = delta or (lambda n: Fraction(1, 2 * n))
@@ -600,7 +604,7 @@ def supremum_example(
     values: List[Fraction] = []
     prev_delta = None
     for n in range(1, depth + 1):
-        d = Fraction(rule(n))
+        d = _exact(rule(n), "delta values must be exact rationals")
         if d <= 0:
             raise ValueError(f"delta_{n} = {d} must be positive")
         if prev_delta is not None and d >= prev_delta:

@@ -26,7 +26,7 @@ from typing import Collection, Iterable, Iterator, List, Tuple, Union
 
 from .domains import CoefficientDomain, PadicDigits, PerfectPoly, XPoly
 from .errors import ModeMismatchError, PrecisionLossError, ZeroSeriesError
-from .values import INF, Infinity, Value, as_exponent, as_gauss_param
+from .values import INF, Infinity, Value, _exact, as_exponent, as_gauss_param
 
 __all__ = [
     "Mode",
@@ -157,8 +157,12 @@ class Series:
         return self.domain.zero()
 
     def with_prec(self, prec: Value) -> "Series":
+        """The series truncated at ``prec``, which may not lie above the
+        frontier: nothing is known of the terms past it."""
         if not isinstance(prec, Infinity):
             prec = as_exponent(prec)
+        if prec > self.prec:
+            raise ValueError(f"cannot raise the frontier from {self.prec} to {prec}")
         return Series(self.domain, self.mode, tuple(t for t in self.terms if t[0] < prec), prec)
 
     def __repr__(self) -> str:  # avoid importing the grammar module here
@@ -345,6 +349,8 @@ def restrict(f: Series, lo, hi, threshold: Value, s) -> Series:
     """Sub-series with index in [lo, hi) whose term value is <= threshold."""
     lo = as_exponent(lo)
     hi = hi if isinstance(hi, Infinity) else as_exponent(hi)
+    if not isinstance(threshold, Infinity):
+        threshold = _exact(threshold, "thresholds must be exact rationals")
     kept = tuple((i, a) for (i, a), (_, v) in zip(f.terms, term_values(f, s))
                  if lo <= i and i < hi and v <= threshold)
     return Series(f.domain, f.mode, kept, f.prec)

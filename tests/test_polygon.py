@@ -361,7 +361,7 @@ def _seeded_point_sets():
         yield pts
     yield [(Q(3, 2), Q(7, 3))]  # a single node
     yield [(Q(1), Q(2)), (Q(1), Q(2)), (Q(1), Q(5))]  # one point, repeated
-    # equal values of both types: a node keeps the ordinate that first set the minimum
+    # equal values of both types at the same abscissae
     yield [(Q(1), Q(2)), (1, 2), (Q(3), 1), (3, Q(1)), (Q(5), 0)]
 
 
@@ -369,10 +369,23 @@ def test_integer_hull_matches_fraction_reference():
     for pts in _seeded_point_sets():
         F = lower_hull(pts)
         assert F.nodes == reference_lower_hull(pts)
-        # the nodes are the input coordinates themselves, not rebuilt values
-        assert [tuple(map(type, node)) for node in F.nodes] == [
-            tuple(map(type, node)) for node in reference_lower_hull(pts)
-        ]
+        # the nodes are read off the integers, as Fractions, whatever the input types
+        assert all(type(c) is Q for node in F.nodes for c in node)
+
+
+def test_hull_nodes_are_built_on_first_read():
+    rng = random.Random(608)
+    hulls = [lower_hull(pts) for pts in _seeded_point_sets()]
+    hulls += [lower_hull(IndexPoints([rng.randrange(0, 90) for _ in range(rng.randrange(1, 40))],
+                                     rng.choice((1, 2, 3**7))))
+              for _ in range(40)]
+    for F in hulls:
+        legendre_eval(F, Q(1, 3))
+        assert F.x_first <= F.x_last and type(F.y_last) is Q
+        with pytest.raises(AttributeError):
+            PLConvexFn.nodes.__get__(F)  # the slot is still unset
+        nodes = F.nodes
+        assert PLConvexFn.nodes.__get__(F) is nodes
 
 
 def test_binary_search_legendre_matches_node_scan():
@@ -499,6 +512,14 @@ def test_index_points_need_a_positive_denominator_and_a_point():
     assert len(IndexPoints([3, 1, 4], 2)) == 3
     with pytest.raises(ValueError, match="^the denominator must be positive, got 0$"):
         IndexPoints([1], 0)
+    # IndexPoints([2, 1], 2.0) used to fail later with an untyped TypeError, and dy=True passed
+    for dy in (2.0, True, Q(2), "2"):
+        with pytest.raises(ValueError) as err:
+            IndexPoints([2, 1], dy)
+        assert str(err.value) == f"the denominator must be an int, got {dy!r}"
+    for bad in (1.0, True, Q(1), None):
+        with pytest.raises(ValueError, match=r"^the ordinates must be ints, got "):
+            IndexPoints([2, bad, 0], 1)
     with pytest.raises(ValueError, match="^need at least one point$"):
         lower_hull(IndexPoints([], 1))
 

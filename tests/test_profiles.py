@@ -518,6 +518,30 @@ def test_profile_constants_reject_bools(name, bad):
         ProfileElement(P2, **fields)
 
 
+@pytest.mark.parametrize("bad", [0.5, True])
+def test_bool_and_float_profile_inputs_are_rejected(bad):
+    # supremum_example(True, 3) used to return limit 3, and inverse_legendre_power(0.5)
+    # and materialize(prof, 2, 0.5) passed silently
+    prof = ProfileElement.for_exponent(Q(1, 2), P2)
+    calls = [
+        lambda: inverse_legendre_power(bad),
+        lambda: ProfileElement.for_exponent(bad, P2),
+        lambda: chain_report([bad], depth=4),
+        lambda: chain_report([Q(1, 4), bad], depth=4),
+        lambda: supremum_example(bad, 3),
+        lambda: supremum_example(Q(1), 3, delta=lambda n: bad),
+        lambda: discretely_approximate([(1, Q(2)), (2, bad)], P2),
+        lambda: materialize(prof, 2, bad),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="exact rational"):
+            call()
+    # the exact spellings stay accepted
+    assert materialize(prof, 2, "1") == materialize(prof, 2)
+    assert supremum_example("1/2", 2)[1] == 2
+    assert chain_report(["1/2"], depth=4) == chain_report([Q(1, 2)], depth=4)
+
+
 def test_mu_is_exact_for_int_rate():
     int_rate = ProfileElement(P2, Q(1, 4), 1)
     assert type(int_rate.mu) is Q and int_rate.mu == Q(1, 2)

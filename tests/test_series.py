@@ -116,6 +116,19 @@ def test_make_rejects_malformed_input():
         Series.make(P2, Mode.ARITHMETIC, [(Q(0), 1)]).with_prec(-1)
 
 
+def test_with_prec_never_raises_the_frontier():
+    # with_prec(5) used to turn this (2, False) into (2, True): exactness made up
+    f = Series.make(P3F, Mode.FORMAL, [(Q(0), P3F.x_power(2))], prec=1)
+    assert gauss_valuation(f, 1) == (Q(2), False)
+    for prec in (Q(5), Q(3, 2), INF):
+        with pytest.raises(ValueError) as err:
+            f.with_prec(prec)
+        assert str(err.value) == f"cannot raise the frontier from 1 to {prec}"
+    assert f.with_prec(1) == f and f.with_prec(Q(1, 2)).prec == Q(1, 2)
+    g = Series.make(P3F, Mode.FORMAL, [(Q(0), P3F.x_power(2)), (Q(3), P3F.one())])
+    assert g.with_prec(INF) == g and g.with_prec(Q(2)).terms == g.terms[:1]
+
+
 @pytest.mark.parametrize("bad", [0.1, 0.5, 2.0, True, False])
 def test_bool_and_float_exponents_and_gauss_params_are_rejected(bad):
     # a binary float is a valid 2-power lattice point and True passes as 1,
@@ -139,6 +152,8 @@ def test_bool_and_float_exponents_and_gauss_params_are_rejected(bad):
         restrict(f, bad, Q(2), INF, 1)
     with pytest.raises(ValueError, match="exact rational"):
         restrict(f, 0, bad, INF, 1)
+    with pytest.raises(ValueError, match="exact rational"):
+        restrict(f, 0, Q(2), bad, 1)  # a float threshold used to be compared silently
     with pytest.raises(ValueError, match="exact rational"):
         bar_witness(f, 1, bad)
     with pytest.raises(ValueError, match="exact rational"):

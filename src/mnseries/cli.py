@@ -44,7 +44,7 @@ from .profiles import (
     materialize,
     supremum_example,
 )
-from .series import Mode, add, argnorm, canonicalize, gauss_valuation, mul
+from .series import Mode, add, argnorm, gauss_valuation, mul
 from .values import format_value
 from .verify import format_report, run_all, run_suite, suite_names
 
@@ -267,8 +267,7 @@ def _cmd_binop(args) -> int:
 def _cmd_canon(args) -> int:
     if args.mode != "arithmetic":
         raise MNSeriesError("canon applies to arithmetic-mode series")
-    f = _parse(args, args.series)
-    _emit(format_series(canonicalize(f)) + "\n", args.out)
+    _emit(format_series(_parse(args, args.series)) + "\n", args.out)  # the parse carried it
     return 0
 
 

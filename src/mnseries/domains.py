@@ -245,10 +245,8 @@ class _PolyDomain(_Domain):
         return self.poly([(Fraction(0), n)])
 
     def x_power(self, e, c: int = 1) -> XPoly:
-        """The monomial ``c * x^e``: what :meth:`poly` gives for one term."""
-        e = self._check_exponent(e)
-        c = _integer(c) % self.modulus
-        return XPoly(((e, c),) if c else ())
+        """The monomial ``c * x^e``: :meth:`poly` of the one term, with its checks."""
+        return self.poly([(e, c)])
 
     def _p_power_monomial(self, m: int, k: int) -> XPoly:
         """The monomial ``x^(m/p^k)`` for ints m >= 0 and k >= 0, unchecked: a

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import reduce
 from typing import List, Optional, Tuple
 
 from .domains import CoefficientDomain, PadicDigits, XPoly
 from .errors import ParseError
-from .series import Mode, Series
+from .series import Mode, Series, _assemble
 from .values import INF, Infinity, Value, format_value
 
 __all__ = ["parse_series", "format_series", "series_variable"]
@@ -135,7 +136,7 @@ def _parse_term(
 ) -> Tuple[Fraction, object]:
     """One summand: collect coefficient factors and at most one var power."""
     padic = isinstance(domain, PadicDigits)
-    coeff = domain.one()
+    factors = []
     exponent: Optional[Fraction] = None
     while True:
         at = tz.here()
@@ -155,23 +156,22 @@ def _parse_term(
             if padic:
                 raise ParseError("polynomial coefficients need a polynomial domain", at)
             tz.next()
-            inner = _parse_x_poly(tz, domain)
+            factors.append(_parse_x_poly(tz, domain))
             tz.expect(")")
-            coeff = domain._mul(coeff, inner)
         elif tok == "x":
             if padic:
                 raise ParseError("coefficient variable 'x' needs a polynomial domain", at)
-            e, c = _parse_x_monomial(tz, 1)
-            coeff = domain._mul(coeff, domain.x_power(e, c))
+            factors.append(domain.x_power(*_parse_x_monomial(tz, 1)))
         elif tok.isdigit():
             tz.next()
-            coeff = domain._mul(coeff, domain.from_int(int(tok)))
+            factors.append(domain.from_int(int(tok)))
         else:
             raise ParseError(f"unexpected token {tok!r}", at)
         if tz.peek() == "*":
             tz.next()
             continue
         break
+    coeff = reduce(domain._mul, factors) if factors else domain.one()  # a bare r^q: 1
     return (exponent if exponent is not None else Fraction(0)), coeff
 
 
@@ -203,7 +203,7 @@ def parse_series(text: str, domain: CoefficientDomain, mode: Mode) -> Series:
         break
     if tz.peek() is not None:
         raise ParseError(f"trailing input {tz.peek()!r}", tz.here())
-    return Series.make(domain, mode, terms, prec)
+    return _assemble(domain, mode, terms, prec)  # every exponent and coefficient is checked
 
 
 _ONE = ((Fraction(0), 1),)  # the monomials of the coefficient 1

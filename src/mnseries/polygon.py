@@ -150,8 +150,9 @@ def _integer_coordinates(points) -> _Scaled:
 class IndexPoints:
     """The points ``(i, ys[i-1] / dy)`` at the indices i = 1..n, kept as integers.
 
-    ``ys`` are ints and ``dy`` is a positive common denominator: a decay
-    profile's digits ``(i, q_i)`` on one p-power denominator, say.
+    ``ys`` are ints, kept as a tuple, and ``dy`` is a positive common
+    denominator: a decay profile's digits ``(i, q_i)`` on one p-power
+    denominator, say.
     :func:`lower_hull` sweeps these integers as they are, so anything else
     (a bool or a float among them) raises ``ValueError`` here.
     """
@@ -163,6 +164,7 @@ class IndexPoints:
             raise ValueError(f"the denominator must be an int, got {dy!r}")
         if dy < 1:
             raise ValueError(f"the denominator must be positive, got {dy}")
+        ys = tuple(ys)  # a copy: the caller's list may change after the check
         bad = [y for y in ys if type(y) is not int]
         if bad:
             raise ValueError(f"the ordinates must be ints, got {bad[0]!r}")

@@ -28,7 +28,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 from .domains import CoefficientDomain, PadicDigits, PerfectPoly, _p_power_denominator
 from .errors import MNSeriesError
 from .polygon import IndexPoints, legendre_eval, lower_hull
-from .series import Mode, Series, canonicalize
+from .series import Mode, Series, _assemble, _carry
 from .values import _exact
 
 __all__ = [
@@ -66,13 +66,24 @@ def iroot(n: int, value: int) -> int:
     """Floor of the integer n-th root of a nonnegative integer.
 
     Newton's iteration, exact in integers, from any start at or above the
-    root; the start is the power of two ``2^ceil(bits / n)``.
+    root.  The start is 2 to the root's base-2 logarithm, read off the
+    value's leading 64 bits, raised by 2^-30 relative: far beyond its
+    rounding error for roots under about 10^6 bits, so the steps shrink
+    quadratically at once.  Floats only guess: unless ``x^n > value``
+    certifies it, Newton starts from ``2^ceil(bits / n)``, up to twice the
+    root, where each step only shrinks by about ``1 - 1/n``.
     """
     if value < 0:
         raise ValueError("iroot of a negative number")
     if value == 0:
         return 0
-    x = 1 << ((value.bit_length() + n - 1) // n)
+    bits = value.bit_length()
+    shift = max(0, bits - 64)
+    t = (math.log2(value >> shift) + shift) / n  # log2 of the root
+    k = max(0, int(t) - 60)
+    x = (int(2.0 ** (t - k) * (1 + 2.0**-30)) + 1) << k
+    if x**n <= value:
+        x = 1 << ((bits + n - 1) // n)
     while True:
         y = ((n - 1) * x + value // x ** (n - 1)) // n
         if y >= x:
@@ -379,8 +390,9 @@ def materialize(profile: ProfileElement, up_to: int, step=1) -> Series:
     Each digit is built once, as the monomial ``x^(m/p^k)`` straight from
     the digit rule's integers, with no lattice check (see the domain's
     ``_p_power_monomial``).  The indices increase and every digit is
-    nonzero, so the terms are already in series form and skip
-    ``Series.make``.  A ``MixedPoly`` profile is canonicalized once.
+    nonzero, so the terms are already in series form: a ``PerfectPoly``
+    profile takes them as they are, and a ``MixedPoly`` profile is carried
+    once, with no term checked again.
     O(up_to / h) digits, each O(1) big-integer operations in their size.
     """
     up_to = _positive_integer(up_to, "depth")
@@ -389,8 +401,8 @@ def materialize(profile: ProfileElement, up_to: int, step=1) -> Series:
     mode = Mode.FORMAL if isinstance(dom, PerfectPoly) else Mode.ARITHMETIC
     terms = tuple((Fraction(n, per_unit), dom._p_power_monomial(*profile._digit(n, per_unit)))
                   for n in range(per_unit, per_unit * up_to + 1))
-    series = Series(dom, mode, terms, Fraction(up_to + 1))
-    return canonicalize(series) if mode is Mode.ARITHMETIC else series
+    prec = Fraction(up_to + 1)
+    return _carry(dom, terms, prec) if mode is Mode.ARITHMETIC else Series(dom, mode, terms, prec)
 
 
 def legendre_power_law(profile: ProfileElement) -> PowerLaw:
@@ -492,12 +504,8 @@ def discretely_approximate(
         secants.append(abs((q2 - q1) / gap - (g2 - g1) / gap))
 
     mode = Mode.FORMAL if isinstance(domain, PerfectPoly) else Mode.ARITHMETIC
-    series = Series.make(
-        domain,
-        mode,
-        [(Fraction(i), domain.x_power(q)) for i, _, q, _ in chosen],
-        prec=Fraction(nodes[-1][0] + 1),
-    )
+    terms = [(Fraction(i), domain.x_power(q)) for i, _, q, _ in chosen]
+    series = _assemble(domain, mode, terms, Fraction(nodes[-1][0] + 1))
     cert = ApproxCertificate(tuple(chosen), tuple(deviations), tuple(bounds), tuple(secants))
     return series, cert
 

@@ -103,12 +103,13 @@ class CarryTrace:
 class Series:
     """Finite-support truncated series over a coefficient domain.
 
-    :meth:`make` checks and coerces outside terms.  The raw constructor
-    checks nothing: the library's own operations build series with it, on
-    distinct ascending exponents below ``prec``, each with a nonzero element
-    of the domain, and the valuations and :func:`mul`'s products trust such
+    :meth:`make` checks and coerces outside terms, and :func:`canonicalize`
+    checks raw terms through the domain's ``lift``; the library never sends
+    the terms it built through either.  The raw constructor checks nothing:
+    the library's own operations build series with it, on distinct
+    ascending exponents below ``prec``, each with a nonzero element of the
+    domain, and the valuations and :func:`mul`'s products trust such
     terms, reading them through the domain's unchecked kernels.
-    :func:`canonicalize` checks raw terms, through the domain's ``lift``.
     """
 
     domain: CoefficientDomain
@@ -150,7 +151,11 @@ class Series:
         return self.prec
 
     def coefficient(self, e) -> object:
+        """The coefficient at ``e``, which must lie below the frontier: past it,
+        nothing is known, so there the series has no coefficient to give."""
         e = as_exponent(e)
+        if e >= self.prec:
+            raise ValueError(f"the coefficient at {e} lies at or past the frontier {self.prec}")
         for exp, a in self.terms:
             if exp == e:
                 return a

@@ -622,7 +622,7 @@ def _suite_ideal(rng: random.Random, cases: int) -> List[str]:
                 e = _rand_exponent(rng, dom.p, False, 5)
                 v = _rand_exponent(rng, dom.p, True, 4) + Fraction(1, dom.p)
                 terms.append((e, dom.x_power(v, rng.randrange(1, dom.p))))
-            return Series.make(dom, mode, terms)
+            return _assemble(dom, mode, terms, INF)
 
         f, g = positive_series(), positive_series()
         h = _rand_series(rng, dom, mode)
@@ -634,7 +634,7 @@ def _suite_ideal(rng: random.Random, cases: int) -> List[str]:
         prod, _ = mul(f, h)
         if not in_m(prod):
             failures.append(_witness(case, kind="product", f=format_series(f), h=format_series(h)))
-    unit = Series.make(PadicDigits(2, 32), Mode.ARITHMETIC, [(Fraction(1), 1)])
+    unit = _assemble(PadicDigits(2, 32), Mode.ARITHMETIC, [(Fraction(1), 1)], INF)
     if in_m(unit):
         failures.append(_witness(-1, kind="unit-digit"))
     return failures

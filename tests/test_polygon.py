@@ -524,6 +524,15 @@ def test_index_points_need_a_positive_denominator_and_a_point():
         lower_hull(IndexPoints([], 1))
 
 
+def test_index_points_keep_their_own_ordinates():
+    # the caller's list used to be kept, so this raised an untyped TypeError
+    ys = [4, 2]
+    P = IndexPoints(ys, 1)
+    ys.append(0.5)
+    assert P.ys == (4, 2) and len(P) == 2
+    assert legendre_eval(lower_hull(P), 1) == 4  # min(4 + 1, 2 + 2)
+
+
 def test_invalid_nodes_from_translate_and_hull():
     F = PLConvexFn(((Q(1), Q(3)), (Q(2), Q(1))))
     with pytest.raises(ValueError, match="^node abscissae must be nonnegative$"):

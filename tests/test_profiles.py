@@ -416,6 +416,21 @@ def test_iroot_matches_power_of_two_start():
             assert root**n <= value < (root + 1) ** n
 
 
+def test_iroot_floor_root_of_large_values_at_high_degree(monkeypatch):
+    # the float start from the leading bits: Newton from 2^ceil(bits/n) took ~n steps here
+    rng = random.Random(73)
+    values = [(n, rng.getrandbits(300_000) | 1 << 300_000) for n in (200, 211, 509)]
+    for n, value in values:
+        root = iroot(n, value)
+        assert root**n <= value < (root + 1) ** n
+        assert iroot(n, root**n) == root and iroot(n, root**n - 1) == root - 1
+    # floats only guess: a start below the root fails its certificate, and
+    # Newton starts from the power of two instead
+    monkeypatch.setattr(math, "log2", lambda v: -5.0)
+    for n, value in ((3, 1000), (7, 2**70 + 5), (16, 2**1000 + 1)):
+        assert iroot(n, value) == reference_iroot(n, value)
+
+
 @pytest.mark.parametrize("dom", [P2, PerfectPoly(3, "p-power"), MixedPoly(2, 32, "p-power"),
                                  MixedPoly(3, 8)])
 def test_materialize_matches_series_make_construction(dom):

@@ -25,14 +25,20 @@ from mnseries import (
     bar_witness,
     box_witness,
     canonicalize,
+    discretely_approximate,
     gauss_valuation,
     is_finite,
     localize,
+    materialize,
     mul,
     newton_polygon,
+    parse_series,
+    ProfileElement,
     restrict,
+    run_suite,
     term_values,
 )
+from mnseries.cli import main
 
 P2 = PadicDigits(2)
 P3F = PerfectPoly(3)
@@ -129,6 +135,17 @@ def test_with_prec_never_raises_the_frontier():
     assert g.with_prec(INF) == g and g.with_prec(Q(2)).terms == g.terms[:1]
 
 
+def test_coefficient_at_or_past_the_frontier_raises():
+    # both used to return 0, a coefficient nobody knows
+    f = Series.make(P2, Mode.ARITHMETIC, [(0, 1)], prec=2)
+    for e in (Q(5), Q(2)):
+        with pytest.raises(ValueError) as err:
+            f.coefficient(e)
+        assert str(err.value) == f"the coefficient at {e} lies at or past the frontier 2"
+    assert f.coefficient(0) == 1 and f.coefficient(Q(3, 2)) == 0
+    assert Series.make(P2, Mode.ARITHMETIC, [(0, 1)]).coefficient(10**9) == 0
+
+
 @pytest.mark.parametrize("bad", [0.1, 0.5, 2.0, True, False])
 def test_bool_and_float_exponents_and_gauss_params_are_rejected(bad):
     # a binary float is a valid 2-power lattice point and True passes as 1,
@@ -171,6 +188,49 @@ def test_bool_and_float_exponents_and_gauss_params_are_rejected(bad):
 def test_make_checks_terms_past_the_frontier(dom, mode, coeff):
     with pytest.raises(DomainError):
         Series.make(dom, mode, [(5, coeff)], prec=3)
+
+
+def test_built_terms_enter_a_series_with_no_second_check(monkeypatch, capsys):
+    # the parser, the profiles, the ideal suite and canon each used to send the
+    # terms they had just built back through coerce or lift
+    doms = (PerfectPoly(3, "p-power"), PadicDigits(3, 4), MixedPoly(3, 4))
+    cases = []
+    for dom in doms:
+        for mode in Mode:
+            v = "t" if mode is Mode.FORMAL else "p"
+            if isinstance(dom, PadicDigits):
+                text, terms = f"2*5*{v} + {v}^{{2}} + 7 + O({v}^{{3}})", [(1, 10), (2, 1), (0, 7)]
+            else:
+                text = f"2*x*(1 + x)*{v} + 3*{v}^{{1/2}} + {v}^{{2}} + O({v}^{{3}})"
+                terms = [(1, dom.poly([(1, 2), (2, 2)])), (Q(1, 2), dom.from_int(3)),
+                         (2, dom.one())]
+            if isinstance(dom, PerfectPoly) and mode is Mode.ARITHMETIC:
+                cases.append((text, dom, mode, None))
+            else:
+                cases.append((text, dom, mode, Series.make(dom, mode, terms, prec=3)))
+    targets = [(1, Q(2)), (2, Q(1)), (3, Q(1, 2))]
+    approx = {dom: discretely_approximate(targets, dom) for dom in (doms[0], doms[2])}
+    profile = ProfileElement.for_exponent(Q(1, 2), MixedPoly(2, 32, "p-power"))
+    digits = materialize(profile, 6, Q(1, 2))
+
+    def refuse(self, a):
+        raise AssertionError(f"{type(self).__name__} checked a term the library built")
+
+    for cls in (PerfectPoly, PadicDigits, MixedPoly):
+        for name in ("coerce", "lift"):
+            monkeypatch.setattr(cls, name, refuse)
+    for text, dom, mode, expected in cases:
+        if expected is None:
+            with pytest.raises(ModeMismatchError):
+                parse_series(text, dom, mode)
+        else:
+            assert parse_series(text, dom, mode) == expected
+    for dom, result in approx.items():
+        assert discretely_approximate(targets, dom) == result
+    assert materialize(profile, 6, Q(1, 2)) == digits and digits.mode is Mode.ARITHMETIC
+    assert main(["canon", "3*p^{1/2} + 1", "--mode", "arithmetic", "--domain", "padic"]) == 0
+    assert capsys.readouterr().out == "1 + p^{1/2} + p^{3/2}\n"
+    assert run_suite("ideal", 30, 0).passed
 
 
 # --- add ------------------------------------------------------------------

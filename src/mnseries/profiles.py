@@ -257,9 +257,12 @@ class ProfileElement:
     denominators powers of p.  The index may be any rational i >= 1, such
     as the points ``n / p^j`` of a refined lattice (see :func:`materialize`);
     the rule is the same and every digit is decided by exact integer
-    comparisons.  The rule's index-independent integers (``u^b``, ``v^b``,
-    ``p^b``) and logarithms are computed once, at construction, into a
-    field that takes no part in ``==``, ``hash`` or ``repr``.  ``c`` and
+    comparisons.  The rule runs as one stream over a run of indices
+    ``n/d`` (``_digits``), which :meth:`digit_exponent`,
+    :func:`materialize` and :func:`chain_report` all read.  Its
+    profile-wide integers (``u^b``, ``v^b``, ``p^b``) and logarithms are
+    computed once, at construction, into a field that takes no part in
+    ``==``, ``hash`` or ``repr``.  ``c`` and
     ``r`` must each be an int or a Fraction (a bool is neither); anything
     else raises a ValueError that names the field and the value.
     """
@@ -300,45 +303,54 @@ class ProfileElement:
 
     def digit_exponent(self, i) -> Fraction:
         """Lattice exponent ``q_i = m / p^k`` approximating ``tau = c * i^(-r)``."""
-        m, k = self._digit(*_index_parts(i))
+        n, d = _index_parts(i)
+        [(m, k)] = self._digits(d, n, n + 1)
         return Fraction(m, self.domain.p**k)
 
-    def _digit(self, n: int, d: int) -> Tuple[int, int]:
-        """The digit rule on integers: ``(m, k)`` at the index ``i = n/d >= 1``, in any terms.
+    def _digits(self, d: int, start: int, stop: int) -> List[Tuple[int, int]]:
+        """The digit rule on integers: ``(m, k)`` at each index ``i = n/d``, ``start <= n < stop``.
 
-        k is the least k >= 0 with ``p^-k <= tau / (2^GUARD_BITS i^2)``, and
-        m is ``tau p^k`` rounded to the nearest integer, half up.  Floats
-        only guess k and m, from logarithms of the integers (which never
-        overflow); exact integer comparisons against one quotient then move
-        each guess to the true value, so the digit is exact for every index.
+        The indices must be at least 1 (``start >= d``), in any terms.  k is
+        the least k >= 0 with ``p^-k <= tau / (2^GUARD_BITS i^2)``, and m is
+        ``tau p^k`` rounded to the nearest integer, half up.  Floats only
+        guess k and m, from logarithms of the integers (which never
+        overflow); exact integer comparisons then move each guess to the
+        true value, so every digit is exact.  The bound on ``p^-k`` shrinks
+        as n grows, so k never falls along the stream: the first index
+        certifies its float guess both ways, and each later index starts
+        from the k before it and only steps up (k - 1 already failed at a
+        smaller index).  What does not depend on n is computed once.
         """
         a, b, ub, vb, step, ln_p, ln_c, r_float = self._rule
-        ln_i = math.log(n) - math.log(d)
-        # With i = n/d, (tau p^k)^b d^(2b) = rhs / Q for rhs = ub d^(2b+a) p^(kb)
-        # and Q = vb n^a.  Every test reads the one quotient W = floor(2^b rhs / Q):
-        # k is right when bound = (2^G n^2)^b <= floor(rhs / Q) = W >> b, and when
-        # k = 0 or the test fails at k - 1, whose quotient is W // p^b.
-        bound = n ** (2 * b) << (GUARD_BITS * b)
-        Q = vb * n**a
+        # With i = n/d, (tau p^k)^b d^(2b) = rhs_k / Q for rhs_k = ub d^(2b+a) p^(kb)
+        # and Q = vb n^a.  k is enough when (2^G n^2)^b <= floor(rhs_k / Q), that is
+        # when rhs_k >= Q n^(2b) 2^(Gb); the stream keeps 2^b rhs_k, so m reads
+        # W = floor((2 tau p^k)^b) = floor(2^b rhs_k / Q) // d^(2b) directly.
+        d2b, ln_d, shift = d ** (2 * b), math.log(d), (GUARD_BITS + 1) * b
+        ln_i = math.log(start) - ln_d
         k = max(0, math.ceil((GUARD_BITS * _LN2 - ln_c + (2 + r_float) * ln_i) / ln_p))
-        rhs = ub * d ** (2 * b + a) * step**k
-        W = (rhs << b) // Q
-        while W >> b < bound:
-            k += 1
-            rhs *= step
-            W = (rhs << b) // Q
-        while k and (W >> b) // step >= bound:
+        twice_rhs = ub * d ** (2 * b + a) * step**k << b
+        need = vb * start ** (a + 2 * b) << shift
+        while k and twice_rhs // step >= need:
             k -= 1
-            W //= step
-        # m is the largest m with (2m - 1)^b <= floor((2 tau p^k)^b) = W // d^(2b)
-        W //= d ** (2 * b)
-        ln_m = ln_c + k * ln_p - r_float * ln_i
-        m = int(math.exp(ln_m) + 0.5) if ln_m < _FLOAT_GUESS_MAX else (iroot(b, W) + 1) // 2
-        while (2 * m + 1) ** b <= W:
-            m += 1
-        while (2 * m - 1) ** b > W:
-            m -= 1
-        return m, k
+            twice_rhs //= step
+        digits = []
+        for n in range(start, stop):
+            Q = vb * n**a
+            need = Q * n ** (2 * b) << shift
+            while twice_rhs < need:
+                k += 1
+                twice_rhs *= step
+            W = twice_rhs // Q // d2b
+            # m is the largest m with (2m - 1)^b <= W
+            ln_m = ln_c + k * ln_p - r_float * (math.log(n) - ln_d)
+            m = int(math.exp(ln_m) + 0.5) if ln_m < _FLOAT_GUESS_MAX else (iroot(b, W) + 1) // 2
+            while (2 * m + 1) ** b <= W:
+                m += 1
+            while (2 * m - 1) ** b > W:
+                m -= 1
+            digits.append((m, k))
+        return digits
 
 
 def deviation_within_bound(profile: ProfileElement, i, q: Fraction) -> bool:
@@ -387,8 +399,9 @@ def materialize(profile: ProfileElement, up_to: int, step=1) -> Series:
     [0.0215, 0.0303] at s = 2^-4 and in [0.0145, 0.0194] at s = 2^-5,
     which are disjoint.
 
-    Each digit is built once, as the monomial ``x^(m/p^k)`` straight from
-    the digit rule's integers, with no lattice check (see the domain's
+    The digits come from one stream of the digit rule over ``n / p^j``,
+    and each is built once, as the monomial ``x^(m/p^k)`` straight from
+    the rule's integers, with no lattice check (see the domain's
     ``_p_power_monomial``).  The indices increase and every digit is
     nonzero, so the terms are already in series form: a ``PerfectPoly``
     profile takes them as they are, and a ``MixedPoly`` profile is carried
@@ -399,8 +412,10 @@ def materialize(profile: ProfileElement, up_to: int, step=1) -> Series:
     dom = profile.domain
     per_unit = _steps_per_unit(step, dom.p)
     mode = Mode.FORMAL if isinstance(dom, PerfectPoly) else Mode.ARITHMETIC
-    terms = tuple((Fraction(n, per_unit), dom._p_power_monomial(*profile._digit(n, per_unit)))
-                  for n in range(per_unit, per_unit * up_to + 1))
+    stop = per_unit * up_to + 1
+    digits = profile._digits(per_unit, per_unit, stop)
+    terms = tuple((Fraction(n, per_unit), dom._p_power_monomial(m, k))
+                  for n, (m, k) in zip(range(per_unit, stop), digits))
     prec = Fraction(up_to + 1)
     return _carry(dom, terms, prec) if mode is Mode.ARITHMETIC else Series(dom, mode, terms, prec)
 
@@ -558,9 +573,11 @@ def chain_report(
     :func:`newton_polygon` reads off :func:`materialize` (the digit
     ``x^(q_i)`` has valuation q_i).  No series is built, so the report
     depends on the domain only through p: over a ``MixedPoly`` a depth at or
-    past N raises no ``PrecisionLossError``.  The digits stay the rule's
+    past N raises no ``PrecisionLossError``.  Each profile's digits are one
+    stream of the rule over the indices 1..depth, and they stay its
     integers, on one denominator p^K (:class:`IndexPoints`), so no Fraction
-    is built per digit.  One pass over the grid does it all.
+    is built per digit; k never falls along a stream, so K is the last k.
+    One pass over the grid does it all.
     """
     depth = _positive_integer(depth, "depth")
     grid = [_exact(m, _EXPONENTS) for m in mu_grid]
@@ -577,8 +594,8 @@ def chain_report(
         for lam in grid[idx + 1 :]:
             verdict = classify(law, PowerLaw(Fraction(1), lam)).verdict
             pairs.append((mu, lam, verdict, verdict == "omega"))
-        digits = [profile._digit(i, 1) for i in range(1, depth + 1)]
-        K, p = max(k for _, k in digits), dom.p  # every q_i = m / p^k on the denominator p^K
+        digits = profile._digits(1, 1, depth + 1)
+        K, p = digits[-1][1], dom.p  # k never falls: every q_i = m / p^k on the denominator p^K
         poly = lower_hull(IndexPoints([m * p ** (K - k) for m, k in digits], p**K))
         # the last ordinate is the least digit valuation: positive exactly when in the ideal
         membership.append((mu, poly.y_last > 0))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import inf, lcm
-from typing import Collection, Iterable, Iterator, List, Tuple, Union
+from typing import Collection, Iterable, Iterator, List, Optional, Tuple, Union
 
 from .domains import CoefficientDomain, PadicDigits, PerfectPoly, XPoly
 from .errors import ModeMismatchError, PrecisionLossError, ZeroSeriesError
@@ -263,29 +263,46 @@ def _carry(dom: CoefficientDomain, terms: Collection, prec: Value) -> Series:
     digit at offset >= N within its coset (but below ``prec``) cannot be
     represented modulo p^N and raises :class:`PrecisionLossError`, naming
     the lowest such index (on a tie, the smallest x-exponent).
+
+    Each sum is split at offset N: the terms below N form the integer
+    ``L``, whose first N digits are the output, and each term at an offset
+    n >= N is kept as ``(n - N, c)``.  The lowest lost digit is then the
+    lowest nonzero digit of ``floor(L / p^N) + sum c p^(n - N)``, found by
+    a sparse carry that skips each gap in which the running value is 0, so
+    no power past p^N is built, however far a term lies.
     """
-    p = dom.p
+    p, N = dom.p, dom.N
     den, stop = _common((e for e, _ in terms), prec)
-    powers = [1]  # p^n for every offset n seen so far
-    totals: dict = {}  # (coset numerator, x-exponent's numerator, denominator) -> [x-exponent, integer]
+    powers = [1]  # p^n for every offset n < N seen so far
+    totals: dict = {}  # (coset numerator, x-exponent's numerator, denominator) -> [x-exponent, L]
+    far: dict = {}  # the same key -> [(n - N, c)] for each term at an offset n >= N
     for e, a in terms:
         n, gamma = divmod(e.numerator * (den // e.denominator), den)
-        while len(powers) <= n:
-            powers.append(powers[-1] * p)
-        for xe, c in dom.monomials(a):
-            totals.setdefault((gamma, xe.numerator, xe.denominator), [xe, 0])[1] += c * powers[n]
+        if n < N:
+            while len(powers) <= n:
+                powers.append(powers[-1] * p)
+            for xe, c in dom.monomials(a):
+                totals.setdefault((gamma, xe.numerator, xe.denominator), [xe, 0])[1] += c * powers[n]
+        else:
+            for xe, c in dom.monomials(a):
+                key = (gamma, xe.numerator, xe.denominator)
+                totals.setdefault(key, [xe, 0])
+                far.setdefault(key, []).append((n - N, c))
     digits: dict = {}  # index numerator -> [(x-exponent, digit)]
     lost = []  # unrepresentable digits: (index numerator, x-exponent, offset, coset numerator)
-    for (gamma, _, _), (xe, total) in totals.items():
-        num = gamma
-        while total and num < stop:  # every later digit of the coset lies past prec
+    for key, (xe, total) in totals.items():
+        gamma = key[0]
+        num, top = gamma, gamma + N * den  # top: the coset's index at offset N
+        end = min(top, stop)  # every digit of the coset from stop on lies past prec
+        while total and num < end:
             total, digit = divmod(total, p)
-            if digit and num >= gamma + dom.N * den:
-                lost.append((num, xe, (num - gamma) // den, gamma))  # the lowest one of its coset
-                break
             if digit:
                 digits.setdefault(num, []).append((xe, digit))
             num += den
+        if top < stop and (total or key in far):  # total is floor(L / p^N) now
+            j = _lowest_digit(p, total, far.get(key, []))
+            if j is not None and top + j * den < stop:
+                lost.append((top + j * den, xe, N + j, gamma))  # the lowest one of its coset
     if lost:
         k, _, offset, gamma = min(lost)
         raise PrecisionLossError(
@@ -296,6 +313,23 @@ def _carry(dom: CoefficientDomain, terms: Collection, prec: Value) -> Series:
     out = [(Fraction(k, den), ms[0][1] if padic else XPoly(tuple(sorted(ms))))
            for k, ms in sorted(digits.items())]
     return Series(dom, Mode.ARITHMETIC, tuple(out), prec)
+
+
+def _lowest_digit(p: int, value: int, far: List[Tuple[int, int]]) -> Optional[int]:
+    """Position of the lowest nonzero base-p digit of ``value + sum c p^j`` over
+    the pairs ``(j, c)`` of ``far``, or None when that sum is 0.  The carry walks
+    the pairs in order of j and skips each gap in which the running value is 0,
+    so it builds no power of p: a nonzero value shows a nonzero digit within
+    about log_p |value| places."""
+    j = 0
+    for n, c in sorted(far) + [(inf, 0)]:
+        while value and j < n:
+            value, digit = divmod(value, p)
+            if digit:
+                return j
+            j += 1
+        j, value = n, value + c
+    return None
 
 
 def _term_value_pairs(f: Series, s: Fraction) -> Iterator[Tuple[Fraction, int, int]]:

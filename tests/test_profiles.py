@@ -469,6 +469,49 @@ def test_digit_exponent_matches_reference_rule(p):
             assert profile.digit_exponent(i) == reference_digit_exponent(profile, i), (mu, i)
 
 
+def reference_digit(profile, n, d):
+    """The per-index rule the stream replaced: (m, k) at i = n/d, each index on its own."""
+    a, b, ub, vb, step, ln_p, ln_c, r_float = profile._rule
+    ln_i = math.log(n) - math.log(d)
+    bound = n ** (2 * b) << (12 * b)
+    Qn = vb * n**a
+    k = max(0, math.ceil((12 * math.log(2) - ln_c + (2 + r_float) * ln_i) / ln_p))
+    rhs = ub * d ** (2 * b + a) * step**k
+    W = (rhs << b) // Qn
+    while W >> b < bound:
+        k += 1
+        rhs *= step
+        W = (rhs << b) // Qn
+    while k and (W >> b) // step >= bound:
+        k -= 1
+        W //= step
+    W //= d ** (2 * b)
+    ln_m = ln_c + k * ln_p - r_float * ln_i
+    m = int(math.exp(ln_m) + 0.5) if ln_m < 40 * math.log(2) else (iroot(b, W) + 1) // 2
+    while (2 * m + 1) ** b <= W:
+        m += 1
+    while (2 * m - 1) ** b > W:
+        m -= 1
+    return m, k
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_digit_stream_equals_the_per_index_rule(p):
+    # the stream places k once and only steps it up; every (m, k) is the rule's
+    dom = PerfectPoly(p, "p-power")
+    for mu in MU_UNIVERSE + [Q(2, 5), Q(1, 7), Q(99, 100)]:
+        profile = ProfileElement.for_exponent(mu, dom)
+        for d in (1, p, p * p):
+            stop = 64 * d + 1
+            stream = profile._digits(d, d, stop)
+            assert stream == [reference_digit(profile, n, d) for n in range(d, stop)], (mu, d)
+            ks = [k for _, k in stream]
+            assert ks == sorted(ks), (mu, d)  # k never falls along a stream
+            for n in (d, d + 1, (d + stop) // 2, stop - 1):
+                assert profile._digits(d, n, n + 1) == [stream[n - d]], (mu, d, n)
+                assert profile._digits(d, n, stop) == stream[n - d:], (mu, d, n)
+
+
 def test_digit_exponent_rounds_exact_ties_half_up():
     # mu = 1/2: c = 1/4 and r = 1, so tau = d / (4 n) at i = n/d, and tau p^k is
     # a half-integer at i = 2^14 / d (d odd, 13005 <= d < 2^14) for p = 2 and at
@@ -568,29 +611,30 @@ def test_mu_is_exact_for_int_rate():
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_chain_report_values_each_digit_once(p, monkeypatch):
-    # each digit is read once, from the integer rule: no series, no coefficient valuation
+    # each digit is read once, from the integer rule: one stream over the indices
+    # 1..depth per profile, no series, no coefficient valuation
     dom = PerfectPoly(p, "p-power")
     grid, depth = [Q(1, 16), Q(1, 2), Q(11, 12)], 96
-    calls, digits = [], []
-    original, rule = PerfectPoly.coeff_valuation, ProfileElement._digit
+    calls, streams = [], []
+    original, rule = PerfectPoly.coeff_valuation, ProfileElement._digits
 
     def counted(self, a):
         calls.append(a)
         return original(self, a)
 
-    def counted_rule(self, n, d):
-        digits.append((n, d))
-        return rule(self, n, d)
+    def counted_rule(self, d, start, stop):
+        streams.append((d, start, stop))
+        return rule(self, d, start, stop)
 
     def no_series(*args):
         raise AssertionError("chain_report built a series")
 
     monkeypatch.setattr(PerfectPoly, "coeff_valuation", counted)
-    monkeypatch.setattr(ProfileElement, "_digit", counted_rule)
+    monkeypatch.setattr(ProfileElement, "_digits", counted_rule)
     monkeypatch.setattr(profiles_module, "materialize", no_series)
     report = chain_report(grid, depth=depth, domain=dom)
     assert len(calls) == 0
-    assert digits == [(i, 1) for i in range(1, depth + 1)] * len(grid)
+    assert streams == [(1, 1, depth + 1)] * len(grid)
     monkeypatch.undo()
     assert PerfectPoly.coeff_valuation is original
     expected = [(mu, in_m(materialize(ProfileElement.for_exponent(mu, dom), depth)))

@@ -1,13 +1,19 @@
 """Series arithmetic, carrying, Gauss valuations, and witness operations."""
 
+import os
 import random
+import subprocess
+import sys
 from dataclasses import fields
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mnseries
+import mnseries.series as series_module
 from mnseries import (
     INF,
     DomainError,
@@ -666,6 +672,103 @@ def test_precision_loss_names_the_lowest_overflowing_digit(dom):
     with pytest.raises(PrecisionLossError, match=r"^digit at index 2 sits at offset 2 "
                        r"within its coset 0 \+ Z, beyond the p\^2 modulus$"):
         canonicalize(f)
+
+
+def reference_carry(dom, terms, prec):
+    """The carry with one exact integer per (coset, x-exponent), built from p^n at
+    every offset n up to the furthest term: the dense carry the split replaced."""
+    p = dom.p
+    den, stop = series_module._common([e for e, _ in terms], prec)
+    totals = {}
+    for e, a in terms:
+        n, gamma = divmod(e.numerator * (den // e.denominator), den)
+        for xe, c in dom.monomials(a):
+            totals.setdefault((gamma, xe), [0])[0] += c * p**n
+    digits, lost = {}, []
+    for (gamma, xe), (total,) in totals.items():
+        num = gamma
+        while total and num < stop:
+            total, digit = divmod(total, p)
+            if digit and num >= gamma + dom.N * den:
+                lost.append((num, xe, (num - gamma) // den, gamma))
+                break
+            if digit:
+                digits.setdefault(num, []).append((xe, digit))
+            num += den
+    if lost:
+        k, _, offset, gamma = min(lost)
+        raise PrecisionLossError(
+            f"digit at index {Q(k, den)} sits at offset {offset} within its coset "
+            f"{Q(gamma, den)} + Z, beyond the p^{dom.N} modulus")
+    padic = isinstance(dom, PadicDigits)
+    out = [(Q(k, den), ms[0][1] if padic else XPoly(tuple(sorted(ms))))
+           for k, ms in sorted(digits.items())]
+    return Series(dom, Mode.ARITHMETIC, tuple(out), prec)
+
+
+def _carry_outcome(carry, dom, terms, prec):
+    try:
+        return repr(carry(dom, terms, prec))
+    except PrecisionLossError as exc:
+        return f"PrecisionLossError: {exc}"
+
+
+def test_split_carry_matches_the_dense_carry():
+    # offsets up to N + 8, negative lift integers, finite and +oo frontiers
+    rng = random.Random("split-carry")
+    xexps = [Q(0), Q(1, 2), Q(1), Q(3, 2)]
+    raised = 0
+    for _ in range(3000):
+        p, N = rng.choice((2, 3, 5)), rng.randrange(1, 33)
+        padic = rng.random() < 0.5
+        dom = PadicDigits(p, N) if padic else MixedPoly(p, N, "any")
+        dens = rng.choice(((1,), (1, 2), (1, 3, 6)))
+        terms = []
+        for _ in range(rng.randrange(1, 7)):
+            d = rng.choice(dens)
+            coeffs = [rng.choice((-1, 1)) * rng.randrange(1, p ** rng.randrange(1, 6))
+                      for _ in range(1 if padic else rng.randrange(1, 3))]
+            a = coeffs[0] if padic else XPoly(tuple(zip(sorted(rng.sample(xexps, len(coeffs))),
+                                                        coeffs)))
+            terms.append((Q(rng.randrange((N + 9) * d), d), a))
+        prec = INF if rng.random() < 0.5 else Q(rng.randrange(1, (N + 10) * 6), 6)
+        want = _carry_outcome(reference_carry, dom, terms, prec)
+        assert _carry_outcome(series_module._carry, dom, terms, prec) == want, (dom, terms, prec)
+        raised += want.startswith("PrecisionLossError")
+    assert 0 < raised < 3000  # both outcomes are exercised
+
+
+def test_a_far_offset_builds_no_power_past_the_modulus():
+    # the split carry keeps a term at offset n >= N as (n - N, c), so its digit
+    # is found without the integer p^n
+    with pytest.raises(PrecisionLossError, match=r"^digit at index 1000000 sits at offset "
+                       r"1000000 within its coset 0 \+ Z, beyond the p\^32 modulus$"):
+        Series.make(P2, Mode.ARITHMETIC, [(10**6, 1), (0, 1)])
+    # a frontier below the far term absorbs it
+    f = Series.make(P2, Mode.ARITHMETIC, [(10**6, 1), (0, 1)], Q(10**6))
+    assert f.terms == ((Q(0), 1),) and f.prec == 10**6
+    far = 10**20
+    assert canonicalize(Series(P2, Mode.ARITHMETIC, ((Q(far), 1), (Q(0), 1)), Q(far))).terms == (
+        (Q(0), 1),)
+    # -1 at offset 31 and p^{far} cancel nothing: the lowest lost digit is at offset 32
+    with pytest.raises(PrecisionLossError, match=r"^digit at index 32 sits at offset 32 "):
+        canonicalize(Series(P2, Mode.ARITHMETIC, ((Q(31), -1), (Q(far), 1)), INF))
+    # 2 p^{31} carries into offset 32; 2 p^{32} + p^{33} - 2 p^{33} = 0 leaves no digit
+    with pytest.raises(PrecisionLossError, match=r"^digit at index 32 sits at offset 32 "):
+        canonicalize(Series(P2, Mode.ARITHMETIC, ((Q(31), 2), (Q(far), 1)), INF))
+    assert canonicalize(Series(P2, Mode.ARITHMETIC, ((Q(33), 1), (Q(32), 2), (Q(33), -2),
+                                                     (Q(0), 1)), INF)).terms == ((Q(0), 1),)
+
+
+def test_canon_of_a_far_arithmetic_exponent_exits_at_once():
+    env = {**os.environ, "PYTHONPATH": str(Path(mnseries.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "mnseries", "canon", "p^{99999999999999999999} + 1",
+         "--mode", "arithmetic", "--domain", "padic"],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == ("error: digit at index 99999999999999999999 sits at offset "
+                           "99999999999999999999 within its coset 0 + Z, beyond the p^32 modulus\n")
 
 
 def test_canonicalize_rejects_characteristic_p_domain():

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from math import lcm
 from typing import Iterable, Tuple, Union
 
 from .errors import DomainError
@@ -85,10 +85,41 @@ class XPoly:
         return 0
 
 
+# Miller-Rabin on the primes up to 37 decides primality exactly below the
+# least strong pseudoprime to all twelve bases (Sorenson and Webster, 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BOUND = 318_665_857_834_031_151_167_461
+
+
 def _check_prime(p: int) -> None:
-    """Reject a non-prime p: ``ord_p`` is a valuation only for a prime."""
-    if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+    """Reject a non-prime p: ``ord_p`` is a valuation only for a prime.  A p
+    at or past ``_MR_BOUND``, where the test stops being exact, is rejected too."""
+    if p >= _MR_BOUND:
+        raise DomainError(f"p must be below {_MR_BOUND}, where primality is decided exactly, got {p}")
+    if not _is_prime(p):
         raise DomainError(f"p must be a prime, got {p}")
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on every base of ``_MR_BASES``, exact for n < ``_MR_BOUND``."""
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s with d odd
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1:
+            continue
+        for _ in range(s):  # a^(d 2^j) for j < s must meet -1
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
 
 
 def _p_power_denominator(den: int, p: int) -> bool:

@@ -14,7 +14,17 @@ class ModeMismatchError(MNSeriesError):
 
 
 class PrecisionLossError(MNSeriesError):
-    """A p-adic carry crossed the p^N modulus below the precision frontier."""
+    """A p-adic carry crossed the p^N modulus below the precision frontier.
+
+    Carries the lowest lost digit: its ``index``, its ``coset`` (the
+    Fraction gamma of ``gamma + Z``), its ``offset`` within the coset, and
+    the ``modulus`` exponent N, the p^N it lies beyond.
+    """
+
+    def __init__(self, index, coset, offset: int, modulus: int):
+        super().__init__(f"digit at index {index} sits at offset {offset} within its coset "
+                         f"{coset} + Z, beyond the p^{modulus} modulus")
+        self.index, self.coset, self.offset, self.modulus = index, coset, offset, modulus
 
 
 class ZeroSeriesError(MNSeriesError):

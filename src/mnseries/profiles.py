@@ -538,9 +538,11 @@ class ChainReport:
     """All pairwise separations over an exponent grid, plus materializations.
 
     ``pairs`` holds (mu, lam, verdict, separated) for every mu < lam;
-    ``membership`` the ideal-membership flag of each materialized element;
+    ``membership`` the ideal-membership flag of each materialized element
+    (its least digit valuation up to ``depth`` is positive);
     ``ratios`` the empirical Legendre ratio against the normalized power
-    law on the sample grid (floats; reporting only).
+    law on the sample grid (floats; reporting only), which depends on the
+    depth only up to the window that :func:`chain_report` reads.
     """
 
     mu_grid: Tuple[Fraction, ...]
@@ -567,17 +569,26 @@ def chain_report(
     increasing grid inside (0, 1).
 
     For mu < lam the Legendre class of the mu-profile must be omega of
-    ``s^lam`` and outside O^sup of it: an exact exponent comparison.  Ideal
-    membership and the Legendre ratios at s = 2^-4, ..., 2^-10 read the
-    hull of the points ``(i, q_i)``, i <= depth, which are what
-    :func:`newton_polygon` reads off :func:`materialize` (the digit
-    ``x^(q_i)`` has valuation q_i).  No series is built, so the report
-    depends on the domain only through p: over a ``MixedPoly`` a depth at or
-    past N raises no ``PrecisionLossError``.  Each profile's digits are one
-    stream of the rule over the indices 1..depth, and they stay its
-    integers, on one denominator p^K (:class:`IndexPoints`), so no Fraction
-    is built per digit; k never falls along a stream, so K is the last k.
-    One pass over the grid does it all.
+    ``s^lam`` and outside O^sup of it: an exact exponent comparison.  The
+    Legendre ratios at s = 2^-4, ..., 2^-10 read the hull of the points
+    ``(i, q_i)`` that can reach a sample, and ideal membership the least
+    q_i, i <= depth: the same as :func:`newton_polygon` of
+    :func:`materialize` gives (the digit ``x^(q_i)`` has valuation q_i).
+    No series is built, so the report depends on the domain only through
+    p: over a ``MixedPoly`` a depth at or past N raises no
+    ``PrecisionLossError``.
+
+    Every digit is positive (``m >= 2^GUARD_BITS``), so with
+    ``s_min = min(RATIO_GRID)`` an index j past ``i + q_i / s_min`` has
+    ``q_j + s j > q_i + s i`` at every sample s: it neither attains nor
+    ties any minimum.  Each profile's stream is read in chunks of 1, 2,
+    4, ... indices, each cut at the least bound ``i + floor(q_i / s_min) + 1``
+    found so far, under 1 026 from i = 1 on as ``q_1 < 1``: the cost does
+    not depend on the depth.  The window's digits stay the rule's integers,
+    on one denominator p^K (:class:`IndexPoints`), so no Fraction is built
+    per digit; k never falls along the stream, so K is the last k.  q_i
+    decreases, so the least digit over 1..depth is q_depth, which one more
+    read of one index gives.  One pass over the grid does it all.
     """
     depth = _positive_integer(depth, "depth")
     grid = [_exact(m, _EXPONENTS) for m in mu_grid]
@@ -586,6 +597,8 @@ def chain_report(
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly increasing")
     dom = domain if domain is not None else PerfectPoly(2, "p-power")
+    p, s_min = dom.p, min(RATIO_GRID)
+    sn, sd = s_min.numerator, s_min.denominator
 
     pairs, membership, ratios = [], [], []
     for idx, mu in enumerate(grid):
@@ -594,11 +607,20 @@ def chain_report(
         for lam in grid[idx + 1 :]:
             verdict = classify(law, PowerLaw(Fraction(1), lam)).verdict
             pairs.append((mu, lam, verdict, verdict == "omega"))
-        digits = profile._digits(1, 1, depth + 1)
-        K, p = digits[-1][1], dom.p  # k never falls: every q_i = m / p^k on the denominator p^K
+        # read 1, 2, 4, ... digits at a time up to the window bound, which each
+        # digit lowers to i + floor(q_i / s_min) + 1
+        digits, n, stop = [], 1, depth + 1
+        while n < stop:
+            chunk = profile._digits(1, n, min(stop, 2 * n))
+            for i, (m, k) in enumerate(chunk, n):
+                stop = min(stop, i + m * sd // (sn * p**k) + 1)
+            digits += chunk
+            n += len(chunk)
+        K = digits[-1][1]  # k never falls: every q_i = m / p^k on the denominator p^K
         poly = lower_hull(IndexPoints([m * p ** (K - k) for m, k in digits], p**K))
-        # the last ordinate is the least digit valuation: positive exactly when in the ideal
-        membership.append((mu, poly.y_last > 0))
+        # the least digit valuation is the window's last ordinate or q_depth
+        [(m_depth, _)] = profile._digits(1, depth, depth + 1)
+        membership.append((mu, poly.y_last > 0 and m_depth > 0))
         c_norm = float(law.coeff)
         rows = tuple((s, float(legendre_eval(poly, s)) / (c_norm * float(s) ** float(mu)))
                      for s in RATIO_GRID)

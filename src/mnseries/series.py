@@ -305,10 +305,7 @@ def _carry(dom: CoefficientDomain, terms: Collection, prec: Value) -> Series:
                 lost.append((top + j * den, xe, N + j, gamma))  # the lowest one of its coset
     if lost:
         k, _, offset, gamma = min(lost)
-        raise PrecisionLossError(
-            f"digit at index {Fraction(k, den)} sits at offset {offset} within its coset "
-            f"{Fraction(gamma, den)} + Z, beyond the p^{dom.N} modulus"
-        )
+        raise PrecisionLossError(Fraction(k, den), Fraction(gamma, den), offset, dom.N)
     padic = isinstance(dom, PadicDigits)
     out = [(Fraction(k, den), ms[0][1] if padic else XPoly(tuple(sorted(ms))))
            for k, ms in sorted(digits.items())]

@@ -323,6 +323,38 @@ def test_composite_p_exits_1(capsys):
     assert code == 1 and "prime" in err
 
 
+def test_large_prime_p_is_decided_at_once_and_the_exact_bound_exits_1(capsys):
+    # a 21-digit prime: trial division to its square root never returned
+    code, out, err = run(capsys, "chain", "--mu", "1/2", "--p", "100000000000000000039")
+    assert code == 0 and err == "" and "ideal mu=1/2 in_m=true" in out
+    bound = "318665857834031151167461"  # a strong pseudoprime to the bases 2, ..., 37
+    code, out, err = run(capsys, "chain", "--mu", "1/2", "--p", bound)
+    assert code == 1 and out == ""
+    assert err == f"error: p must be below {bound}, where primality is decided exactly, got {bound}\n"
+
+
+def test_precision_loss_exits_1_with_its_message(capsys):
+    code, out, err = run(capsys, "canon", "p^{5} + 1", "--mode", "arithmetic", "--domain", "padic",
+                         "--prec-N", "2")
+    assert code == 1 and out == ""
+    assert err == "error: digit at index 5 sits at offset 5 within its coset 0 + Z, beyond the p^2 modulus\n"
+
+
+def test_chain_ratios_do_not_depend_on_the_depth_past_the_window(capsys):
+    # every sample's minimum sits within the first few dozen indices, so only
+    # the header's depth differs between depth 1000 and depth 10^6
+    texts = []
+    for depth in ("1000", "1000000"):
+        code, out, _ = run(capsys, "chain", "--mu", "1/2", "--mu", "3/4", "--depth", depth)
+        assert code == 0
+        texts.append(out.splitlines())
+    shallow, deep = texts
+    assert shallow[0] == "chain grid=1/2,3/4 depth=1000"
+    assert deep[0] == "chain grid=1/2,3/4 depth=1000000"
+    assert shallow[1:] == deep[1:]
+    assert [line.split()[1] for line in deep if line.startswith("ratio ")] == ["mu=1/2", "mu=3/4"]
+
+
 def test_successive_calls_share_no_parser_state(capsys):
     from mnseries.cli import _shared_parser
 

@@ -1,12 +1,13 @@
 """Coefficient domains: valuations, digit predicates, reductions."""
 
+import math
 import random
 from fractions import Fraction as Q
 
 import pytest
 
 from mnseries import INF, DomainError, MixedPoly, Mode, PadicDigits, PerfectPoly, Series, XPoly, ordp
-from mnseries.domains import _p_power_denominator
+from mnseries.domains import _MR_BOUND, _is_prime, _p_power_denominator
 
 
 def test_ordp():
@@ -71,6 +72,45 @@ def test_exponent_lattice_policy():
         strict.x_power(Q(1, 2))
     loose = PerfectPoly(3, "any")
     loose.x_power(Q(1, 2))
+
+
+def _trial_division_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_primality_verdicts_match_trial_division():
+    # every n below 20 000 and a seeded sample below 10^9: the verdict that
+    # trial division gave before
+    rng = random.Random("primes")
+    sample = list(range(-3, 20_000)) + [rng.randrange(2, 10**9) for _ in range(500)]
+    assert [n for n in sample if _is_prime(n) != _trial_division_is_prime(n)] == []
+
+
+@pytest.mark.parametrize("n", [
+    561, 1105, 1729,  # Carmichael numbers
+    2047,  # the least strong pseudoprime to base 2
+    3_215_031_751,  # strong pseudoprime to the bases 2, 3, 5 and 7
+    3_825_123_056_546_413_051,  # strong pseudoprime to every base up to 23
+])
+def test_composite_p_is_rejected(n):
+    with pytest.raises(DomainError, match=f"^p must be a prime, got {n}$"):
+        PerfectPoly(n)
+
+
+@pytest.mark.parametrize("n", [2**31 - 1, 2**61 - 1, 10**20 + 39,
+                               318_665_857_834_031_151_167_441])  # the last prime below the bound
+def test_large_prime_p_is_accepted(n):
+    assert _is_prime(n)
+    assert PadicDigits(n, 2).p == n
+
+
+def test_p_at_or_past_the_exact_primality_bound_is_rejected():
+    # the bound itself is a strong pseudoprime to all twelve bases: the test
+    # alone would call it prime
+    assert _is_prime(_MR_BOUND)
+    for n in (_MR_BOUND, _MR_BOUND + 2, 10**100 + 267):
+        with pytest.raises(DomainError, match=f"^p must be below {_MR_BOUND}, where primality"):
+            MixedPoly(n)
 
 
 def test_negative_exponent_rejected():

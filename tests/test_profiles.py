@@ -16,6 +16,7 @@ import mnseries.profiles as profiles_module
 from mnseries import (
     INF,
     ChainReport,
+    IndexPoints,
     MNSeriesError,
     MixedPoly,
     Mode,
@@ -609,10 +610,21 @@ def test_mu_is_exact_for_int_rate():
     assert ProfileElement(P2, 3, 2).mu == Q(2, 3)
 
 
+def _window(profile, depth):
+    """The exact window bound W: the least ``i + floor(q_i / s_min)`` over the
+    indices 1..depth, and at most the depth.  No digit past W can attain or
+    tie a Legendre sample at any s >= s_min."""
+    s_min = min(profiles_module.RATIO_GRID)
+    return min([depth] + [i + q // s_min for i, q in
+                          enumerate(map(profile.digit_exponent, range(1, depth + 1)), 1)])
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_chain_report_values_each_digit_once(p, monkeypatch):
-    # each digit is read once, from the integer rule: one stream over the indices
-    # 1..depth per profile, no series, no coefficient valuation
+    # each digit is read once, from the integer rule, and only as far as the
+    # window: the streams of a profile cover 1..E once, W <= E < 2W since
+    # each stream at most doubles the indices read, plus one read of the
+    # depth; no series, no coefficient valuation
     dom = PerfectPoly(p, "p-power")
     grid, depth = [Q(1, 16), Q(1, 2), Q(11, 12)], 96
     calls, streams = [], []
@@ -623,7 +635,7 @@ def test_chain_report_values_each_digit_once(p, monkeypatch):
         return original(self, a)
 
     def counted_rule(self, d, start, stop):
-        streams.append((d, start, stop))
+        streams.append((self.mu, d, start, stop))
         return rule(self, d, start, stop)
 
     def no_series(*args):
@@ -634,9 +646,22 @@ def test_chain_report_values_each_digit_once(p, monkeypatch):
     monkeypatch.setattr(profiles_module, "materialize", no_series)
     report = chain_report(grid, depth=depth, domain=dom)
     assert len(calls) == 0
-    assert streams == [(1, 1, depth + 1)] * len(grid)
     monkeypatch.undo()
     assert PerfectPoly.coeff_valuation is original
+    assert [mu for mu, *_ in streams] == sorted(mu for mu, *_ in streams)  # one profile at a time
+    read_to = {}
+    for mu in grid:
+        mine = [(d, start, stop) for m, d, start, stop in streams if m == mu]
+        assert mine[-1] == (1, depth, depth + 1)
+        window = mine[:-1]
+        assert all(d == 1 for d, _, _ in window)
+        assert [start for _, start, _ in window] == [1] + [stop for _, _, stop in window[:-1]]
+        end = window[-1][2] - 1
+        W = _window(ProfileElement.for_exponent(mu, dom), depth)
+        assert W <= end < 2 * W, (mu, W, end)
+        read_to[mu] = end
+    assert read_to[Q(1, 16)] == depth  # the window reaches past 96
+    assert read_to[Q(11, 12)] <= 3
     expected = [(mu, in_m(materialize(ProfileElement.for_exponent(mu, dom), depth)))
                 for mu in grid]
     assert list(report.membership) == expected
@@ -671,6 +696,88 @@ def _report_from_series(grid, depth, dom):
 def test_chain_report_equals_the_materialized_report(p, depth, grid):
     dom = PerfectPoly(p, "p-power")
     assert chain_report(grid, depth=depth, domain=dom) == _report_from_series(grid, depth, dom)
+
+
+def _full_read_report(grid, depth, dom, legendre):
+    """The chain report read from every digit 1..depth: the body chain_report
+    had before its window, with each exact sample passed to ``legendre``."""
+    pairs, membership, ratios = [], [], []
+    for idx, mu in enumerate(grid):
+        profile = ProfileElement.for_exponent(mu, dom)
+        law = legendre_power_law(profile)
+        for lam in grid[idx + 1:]:
+            verdict = classify(law, PowerLaw(Q(1), lam)).verdict
+            pairs.append((mu, lam, verdict, verdict == "omega"))
+        digits = profile._digits(1, 1, depth + 1)
+        K, p = digits[-1][1], dom.p
+        poly = lower_hull(IndexPoints([m * p ** (K - k) for m, k in digits], p**K))
+        membership.append((mu, poly.y_last > 0))
+        c_norm = float(law.coeff)
+        ratios.append((mu, tuple((s, float(legendre(poly, s)) / (c_norm * float(s) ** float(mu)))
+                                 for s in profiles_module.RATIO_GRID)))
+    return ChainReport(tuple(grid), depth, tuple(pairs), tuple(membership), tuple(ratios))
+
+
+# every exponent that the profile-chain benchmark draws, and the acceptance grid
+BENCH_MUS = sorted({Q(n, d) for d in (4, 8, 12, 16) for n in range(1, d)})
+MU_GRID = [Q(k, 8) for k in range(1, 8)]
+
+
+def _recording(samples):
+    """legendre_eval, keeping each exact sample in ``samples``."""
+    def recorded(F, s):
+        samples.append(legendre_eval(F, s))
+        return samples[-1]
+    return recorded
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("depth", [16, 100, 512, 1024])
+def test_windowed_chain_report_equals_a_full_read(p, depth, monkeypatch):
+    dom = PerfectPoly(p, "p-power")
+    for grid in (MU_GRID, BENCH_MUS):
+        full, windowed = [], []
+        expected = _full_read_report(grid, depth, dom, _recording(full))
+        monkeypatch.setattr(profiles_module, "legendre_eval", _recording(windowed))
+        assert chain_report(grid, depth=depth, domain=dom) == expected
+        monkeypatch.undo()
+        assert windowed == full  # the exact samples, not only their floats
+        assert len(full) == len(grid) * len(profiles_module.RATIO_GRID)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_least_digit_up_to_each_depth_is_the_last(p):
+    # q_i strictly decreases and every m >= 2^GUARD_BITS, so the least digit
+    # over 1..depth is q_depth, the one digit chain_report reads for membership
+    dom = PerfectPoly(p, "p-power")
+    for mu in sorted(set(BENCH_MUS) | set(MU_GRID)):
+        digits = ProfileElement.for_exponent(mu, dom)._digits(1, 1, 1025)
+        assert min(m for m, _ in digits) >= 2**profiles_module.GUARD_BITS
+        q = [Q(m, p**k) for m, k in digits]
+        assert all(a > b for a, b in zip(q, q[1:])), mu
+
+
+def test_chain_report_reads_the_same_digits_at_any_depth(monkeypatch):
+    # the window closes below 1 026 digits whatever the depth: count what the
+    # rule is asked for, never the wall time
+    read, rule = [], ProfileElement._digits
+
+    def counted_rule(self, d, start, stop):
+        assert stop - start < 1030, "a stream past the window"
+        read.append((self.mu, start, stop))
+        return rule(self, d, start, stop)
+
+    monkeypatch.setattr(ProfileElement, "_digits", counted_rule)
+    totals = []
+    for depth in (10**3, 10**6, 10**20):
+        read.clear()
+        report = chain_report(BENCH_MUS, depth=depth)
+        assert report.all_in_ideal and report.depth == depth
+        per_profile = {mu: sum(stop - start for m, start, stop in read if m == mu) for mu in BENCH_MUS}
+        assert max(per_profile.values()) < 1030
+        assert [(start, stop) for _, start, stop in read if start == depth] == [(depth, depth + 1)] * len(BENCH_MUS)
+        totals.append(sum(per_profile.values()))
+    assert totals[0] == totals[1] == totals[2]
 
 
 def test_mixed_chain_report_depends_on_the_domain_only_through_p():

@@ -663,6 +663,24 @@ def test_precision_loss_message_names_index_offset_and_modulus():
             Series.make(dom, Mode.ARITHMETIC, [(Q(5, 2), coeff)])
 
 
+def test_precision_loss_carries_index_coset_offset_and_modulus():
+    # the literal digit p^5 itself sits at offset 5 >= N = 2
+    with pytest.raises(PrecisionLossError) as exc:
+        parse_series("p^{5} + 1", PadicDigits(2, 2), Mode.ARITHMETIC)
+    err = exc.value
+    assert (err.index, err.coset, err.offset, err.modulus) == (5, 0, 5, 2)
+    assert type(err.index) is Q and type(err.coset) is Q
+    assert str(err) == "digit at index 5 sits at offset 5 within its coset 0 + Z, beyond the p^2 modulus"
+    # a sum: 1 + 2 + 4 in the coset 1/2 + Z, plus 1, carries to p^3 at index 7/2
+    dom = PadicDigits(2, 3)
+    f = parse_series("p^{1/2} + p^{3/2} + p^{5/2}", dom, Mode.ARITHMETIC)
+    with pytest.raises(PrecisionLossError) as exc:
+        add(f, parse_series("p^{1/2}", dom, Mode.ARITHMETIC))
+    err = exc.value
+    assert (err.index, err.coset, err.offset, err.modulus) == (Q(7, 2), Q(1, 2), 3, 3)
+    assert str(err) == "digit at index 7/2 sits at offset 3 within its coset 1/2 + Z, beyond the p^3 modulus"
+
+
 @pytest.mark.parametrize("dom", [PadicDigits(2, 2), MixedPoly(2, 2)])
 def test_precision_loss_names_the_lowest_overflowing_digit(dom):
     # coset 1/2 + Z sums to 3 + 3*2 = 1001_2, whose top digit lands at index 7/2;
@@ -697,9 +715,7 @@ def reference_carry(dom, terms, prec):
             num += den
     if lost:
         k, _, offset, gamma = min(lost)
-        raise PrecisionLossError(
-            f"digit at index {Q(k, den)} sits at offset {offset} within its coset "
-            f"{Q(gamma, den)} + Z, beyond the p^{dom.N} modulus")
+        raise PrecisionLossError(Q(k, den), Q(gamma, den), offset, dom.N)
     padic = isinstance(dom, PadicDigits)
     out = [(Q(k, den), ms[0][1] if padic else XPoly(tuple(sorted(ms))))
            for k, ms in sorted(digits.items())]

@@ -660,7 +660,7 @@ def test_chain_report_values_each_digit_once(p, monkeypatch):
         W = _window(ProfileElement.for_exponent(mu, dom), depth)
         assert W <= end < 2 * W, (mu, W, end)
         read_to[mu] = end
-    assert read_to[Q(1, 16)] == depth  # the window reaches past 96
+    assert read_to[Q(1, 16)] == depth  # its window bound, about 663, lies past 96
     assert read_to[Q(11, 12)] <= 3
     expected = [(mu, in_m(materialize(ProfileElement.for_exponent(mu, dom), depth)))
                 for mu in grid]

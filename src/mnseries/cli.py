@@ -358,10 +358,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1 if exc.code else 0
     try:
         return _HANDLERS[args.command](args)
-    except MNSeriesError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (MNSeriesError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -30,11 +30,11 @@ operations are immutable and pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Iterable, Tuple, Union
+from typing import Iterable, Optional, Tuple, Union
 
 from .errors import DomainError
 from .values import INF, Value, as_exponent, as_gauss_param
@@ -178,7 +178,10 @@ class _Domain:
 
     @property
     def modulus(self) -> int:
-        return self.p**self.N
+        """p^N, computed on first read (not at construction, where N may be huge)."""
+        if self._modulus is None:
+            object.__setattr__(self, "_modulus", self.p**self.N)
+        return self._modulus
 
     def coeff_valuation(self, a) -> Value:
         """x-adic valuation of the mod-p reduction; +oo if that reduction is zero."""
@@ -353,6 +356,7 @@ class PerfectPoly(_PolyDomain):
     p: int
     denominators: str = "any"
     N = 1  # F_p = Z/p^1
+    _modulus: Optional[int] = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def kind(self) -> str:
@@ -366,6 +370,7 @@ class PadicDigits(_Domain):
     p: int
     N: int = 32
     denominators = "any"  # a digit has the single x-exponent 0
+    _modulus: Optional[int] = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def kind(self) -> str:
@@ -417,6 +422,7 @@ class MixedPoly(_PolyDomain):
     p: int
     N: int = 32
     denominators: str = "any"
+    _modulus: Optional[int] = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def kind(self) -> str:

@@ -17,6 +17,7 @@ as ``num/den``), and ``parse(print(f))`` returns a series equal to ``f``.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from functools import reduce
 from typing import List, Optional, Tuple
@@ -42,10 +43,15 @@ class _Tokenizer:
     def __init__(self, text: str):
         self.text = text
         self.tokens: List[Tuple[str, int]] = []
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
         for m in _TOKEN_RE.finditer(text):
             if m.group(2) is not None:
                 raise ParseError(f"unexpected character {m.group(2)!r}", m.start())
-            self.tokens.append((m.group(1), m.start()))
+            tok = m.group(1)
+            if limit and len(tok) > limit and tok[0].isdigit():  # int() would refuse it
+                raise ParseError(f"integer of {len(tok)} digits exceeds the interpreter's "
+                                 f"limit of {limit} digits", m.start())
+            self.tokens.append((tok, m.start()))
         self.index = 0
 
     def peek(self) -> Optional[str]:

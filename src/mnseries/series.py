@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import inf, lcm
-from typing import Collection, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Collection, Iterable, Iterator, List, Tuple, Union
 
 from .domains import CoefficientDomain, PadicDigits, PerfectPoly, XPoly
 from .errors import ModeMismatchError, PrecisionLossError, ZeroSeriesError
@@ -257,52 +257,34 @@ def _carry(dom: CoefficientDomain, terms: Collection, prec: Value) -> Series:
 
     Every exponent is an integer numerator over one common denominator, and
     the support is grouped by coset ``gamma + Z``, a numerator residue.  For
-    each x-exponent ``e`` the coset sum ``sum_n c_(gamma+n, e) p^n`` is one
-    exact integer, re-expanded base p up to the frontier, so the digits are
-    reduced and unique, and one ``Fraction`` is built per output index.  A
-    digit at offset >= N within its coset (but below ``prec``) cannot be
-    represented modulo p^N and raises :class:`PrecisionLossError`, naming
-    the lowest such index (on a tie, the smallest x-exponent).
-
-    Each sum is split at offset N: the terms below N form the integer
-    ``L``, whose first N digits are the output, and each term at an offset
-    n >= N is kept as ``(n - N, c)``.  The lowest lost digit is then the
-    lowest nonzero digit of ``floor(L / p^N) + sum c p^(n - N)``, found by
-    a sparse carry that skips each gap in which the running value is 0, so
-    no power past p^N is built, however far a term lies.
+    each x-exponent ``e`` the coset's terms are ``(offset n, integer c)``
+    pairs of the exact sum ``sum_n c_(gamma+n, e) p^n``, whose base-p digits
+    :func:`_digits` yields in order of offset, so the output digits are
+    reduced and unique, and one ``Fraction`` is built per output index.
+    Each coset is read up to the frontier and up to offset N: a digit at
+    offset >= N (but below ``prec``) cannot be represented modulo p^N and
+    raises :class:`PrecisionLossError`, naming the lowest such index (on a
+    tie, the smallest x-exponent).  These two stops also bound the endless
+    digits of a negative sum.
     """
     p, N = dom.p, dom.N
     den, stop = _common((e for e, _ in terms), prec)
-    powers = [1]  # p^n for every offset n < N seen so far
-    totals: dict = {}  # (coset numerator, x-exponent's numerator, denominator) -> [x-exponent, L]
-    far: dict = {}  # the same key -> [(n - N, c)] for each term at an offset n >= N
+    cosets: dict = {}  # (coset numerator, x-exponent's num, den) -> [x-exponent, (n, c), ...]
     for e, a in terms:
         n, gamma = divmod(e.numerator * (den // e.denominator), den)
-        if n < N:
-            while len(powers) <= n:
-                powers.append(powers[-1] * p)
-            for xe, c in dom.monomials(a):
-                totals.setdefault((gamma, xe.numerator, xe.denominator), [xe, 0])[1] += c * powers[n]
-        else:
-            for xe, c in dom.monomials(a):
-                key = (gamma, xe.numerator, xe.denominator)
-                totals.setdefault(key, [xe, 0])
-                far.setdefault(key, []).append((n - N, c))
+        for xe, c in dom.monomials(a):
+            cosets.setdefault((gamma, xe.numerator, xe.denominator), [xe]).append((n, c))
     digits: dict = {}  # index numerator -> [(x-exponent, digit)]
     lost = []  # unrepresentable digits: (index numerator, x-exponent, offset, coset numerator)
-    for key, (xe, total) in totals.items():
-        gamma = key[0]
-        num, top = gamma, gamma + N * den  # top: the coset's index at offset N
-        end = min(top, stop)  # every digit of the coset from stop on lies past prec
-        while total and num < end:
-            total, digit = divmod(total, p)
-            if digit:
-                digits.setdefault(num, []).append((xe, digit))
-            num += den
-        if top < stop and (total or key in far):  # total is floor(L / p^N) now
-            j = _lowest_digit(p, total, far.get(key, []))
-            if j is not None and top + j * den < stop:
-                lost.append((top + j * den, xe, N + j, gamma))  # the lowest one of its coset
+    for (gamma, _, _), (xe, *pairs) in cosets.items():
+        for n, digit in _digits(p, pairs):
+            num = gamma + n * den
+            if num >= stop:  # every later digit of the coset lies past prec too
+                break
+            if n >= N:
+                lost.append((num, xe, n, gamma))  # the lowest one of its coset
+                break
+            digits.setdefault(num, []).append((xe, digit))
     if lost:
         k, _, offset, gamma = min(lost)
         raise PrecisionLossError(Fraction(k, den), Fraction(gamma, den), offset, dom.N)
@@ -312,21 +294,20 @@ def _carry(dom: CoefficientDomain, terms: Collection, prec: Value) -> Series:
     return Series(dom, Mode.ARITHMETIC, tuple(out), prec)
 
 
-def _lowest_digit(p: int, value: int, far: List[Tuple[int, int]]) -> Optional[int]:
-    """Position of the lowest nonzero base-p digit of ``value + sum c p^j`` over
-    the pairs ``(j, c)`` of ``far``, or None when that sum is 0.  The carry walks
-    the pairs in order of j and skips each gap in which the running value is 0,
-    so it builds no power of p: a nonzero value shows a nonzero digit within
-    about log_p |value| places."""
-    j = 0
-    for n, c in sorted(far) + [(inf, 0)]:
+def _digits(p: int, pairs: List[Tuple[int, int]]) -> Iterator[Tuple[int, int]]:
+    """The nonzero base-p digits ``(n, digit)`` of ``sum c p^n`` over the pairs
+    ``(n, c)``, in order of n; a negative sum has endless digits p - 1, so the
+    caller bounds the walk.  It takes the pairs in order of n and skips each gap
+    in which the running value is 0, so it builds no power of p: a nonzero value
+    shows a nonzero digit within about log_p |value| places."""
+    j = value = 0  # value * p^j is what the pairs before offset j still carry
+    for n, c in sorted(pairs) + [(inf, 0)]:
         while value and j < n:
             value, digit = divmod(value, p)
             if digit:
-                return j
+                yield j, digit
             j += 1
         j, value = n, value + c
-    return None
 
 
 def _term_value_pairs(f: Series, s: Fraction) -> Iterator[Tuple[Fraction, int, int]]:

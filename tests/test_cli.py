@@ -445,3 +445,24 @@ def test_verify_case_count_must_be_positive(capsys):
     code, out, err = run(capsys, "verify", "--cases", "-3")
     assert (code, out) == (1, "")
     assert err == "error: the case count must be an int >= 1, got -3\n"
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this interpreter has no int-string limit")
+def test_an_integer_past_the_int_string_limit_exits_1_with_its_position(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "canon", "1 + " + "7" * (limit + 1) + "*p",
+                         "--mode", "arithmetic", "--domain", "padic")
+    assert (code, out) == (1, "")
+    assert err == (f"error: integer of {limit + 1} digits exceeds the interpreter's "
+                   f"limit of {limit} digits (at position 4)\n")
+
+
+def test_a_huge_modulus_is_not_built_for_a_short_literal():
+    # p^N is computed on first read, and this canon never reads it
+    env = {**os.environ, "PYTHONPATH": str(Path(mnseries.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "mnseries", "canon", "p^{5}", "--mode", "arithmetic",
+         "--domain", "padic", "--prec-N", str(10**12)],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "p^{5}\n", "")

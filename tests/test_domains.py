@@ -439,3 +439,14 @@ def test_domain_parameters_must_be_ints(make, args, name):
     with pytest.raises(DomainError, match=f"^{name} must be an int, got {bad!r}$"):
         make(*args)
 
+
+
+@pytest.mark.parametrize("make", [PadicDigits, MixedPoly])
+def test_modulus_is_computed_once_on_first_read(make):
+    dom = make(3, 1000)
+    assert dom.modulus is dom.modulus and dom.modulus == 3**1000
+    fresh = make(3, 1000)  # no modulus read yet
+    assert dom == fresh and hash(dom) == hash(fresh) and repr(dom) == repr(fresh)
+    assert repr(dom) == ("PadicDigits(p=3, N=1000)" if make is PadicDigits
+                         else "MixedPoly(p=3, N=1000, denominators='any')")
+    assert PerfectPoly(5).modulus == 5

@@ -2,6 +2,7 @@
 
 import random
 import re
+import sys
 from fractions import Fraction as Q
 
 import pytest
@@ -211,3 +212,17 @@ def test_parse_exponent_without_braces():
     assert f.support == (Q(2),)
     assert f == parse_series("t^{2}", P3, Mode.FORMAL)
     assert format_series(f) == "t^{2}"
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this interpreter has no int-string limit")
+def test_integer_longer_than_the_int_string_limit_is_a_parse_error():
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(ParseError) as err:
+        parse_series("1 + " + "7" * (limit + 1) + "*p", PD2, Mode.ARITHMETIC)
+    assert str(err.value) == (f"integer of {limit + 1} digits exceeds the interpreter's "
+                              f"limit of {limit} digits (at position 4)")
+    assert err.value.position == 4
+    # a run at the limit still parses
+    f = parse_series("7" * limit + "*p", PD2, Mode.ARITHMETIC)
+    assert f == parse_series(f"{int('7' * limit) % 2**32}*p", PD2, Mode.ARITHMETIC)

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from fractions import Fraction as Q
 from pathlib import Path
@@ -752,6 +753,25 @@ def test_split_carry_matches_the_dense_carry():
         assert _carry_outcome(series_module._carry, dom, terms, prec) == want, (dom, terms, prec)
         raised += want.startswith("PrecisionLossError")
     assert 0 < raised < 3000  # both outcomes are exercised
+    # sparse: a few terms at far-apart offsets, N up to 4096, carries live across the gaps
+    rng = random.Random("sparse-carry")
+    raised = 0
+    for _ in range(300):
+        p, N = rng.choice((2, 3, 5)), rng.randrange(1, 4097)
+        padic = rng.random() < 0.5
+        dom = PadicDigits(p, N) if padic else MixedPoly(p, N, "any")
+        terms, offsets = [], rng.sample(range(N + 64), rng.randrange(1, 5))
+        for n in offsets:
+            coeffs = [rng.choice((-1, 1)) * rng.randrange(1, p ** rng.randrange(1, 40))
+                      for _ in range(1 if padic else rng.randrange(1, 3))]
+            a = coeffs[0] if padic else XPoly(tuple(zip(sorted(rng.sample(xexps, len(coeffs))),
+                                                        coeffs)))
+            terms.append((Q(2 * n + rng.randrange(2), 2), a))
+        prec = INF if rng.random() < 0.5 else Q(rng.randrange(1, 2 * (N + 64)), 2)
+        want = _carry_outcome(reference_carry, dom, terms, prec)
+        assert _carry_outcome(series_module._carry, dom, terms, prec) == want, (dom, terms, prec)
+        raised += want.startswith("PrecisionLossError")
+    assert 0 < raised < 300
 
 
 def test_a_far_offset_builds_no_power_past_the_modulus():
@@ -785,6 +805,30 @@ def test_canon_of_a_far_arithmetic_exponent_exits_at_once():
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == ("error: digit at index 99999999999999999999 sits at offset "
                            "99999999999999999999 within its coset 0 + Z, beyond the p^32 modulus\n")
+
+
+def test_canon_at_a_large_modulus_answers_at_once():
+    env = {**os.environ, "PYTHONPATH": str(Path(mnseries.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "mnseries", "canon", "p^{999999} + 1", "--mode", "arithmetic",
+         "--domain", "padic", "--prec-N", "1000000"],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1 + p^{999999}\n", "")
+
+
+def test_the_carry_memory_does_not_grow_with_the_offset_squared():
+    # the walk keeps no power table: a far term below N costs its own digits only
+    def peak(N):
+        tracemalloc.start()
+        try:
+            f = Series.make(PadicDigits(2, N), Mode.ARITHMETIC, [(N - 1, 1), (0, 1)])
+            assert f.terms == ((Q(0), 1), (Q(N - 1), 1))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(20000), peak(40000)
+    assert large < 2**20 and large < 3 * small
 
 
 def test_canonicalize_rejects_characteristic_p_domain():

@@ -695,7 +695,7 @@ def test_precision_loss_names_the_lowest_overflowing_digit(dom):
 
 def reference_carry(dom, terms, prec):
     """The carry with one exact integer per (coset, x-exponent), built from p^n at
-    every offset n up to the furthest term: the dense carry the split replaced."""
+    every offset n up to the furthest term: the dense reference for the carry's walk."""
     p = dom.p
     den, stop = series_module._common([e for e, _ in terms], prec)
     totals = {}
@@ -775,8 +775,8 @@ def test_split_carry_matches_the_dense_carry():
 
 
 def test_a_far_offset_builds_no_power_past_the_modulus():
-    # the split carry keeps a term at offset n >= N as (n - N, c), so its digit
-    # is found without the integer p^n
+    # the walk skips the gap before a term at offset n >= N, so its digit is
+    # found without the integer p^n
     with pytest.raises(PrecisionLossError, match=r"^digit at index 1000000 sits at offset "
                        r"1000000 within its coset 0 \+ Z, beyond the p\^32 modulus$"):
         Series.make(P2, Mode.ARITHMETIC, [(10**6, 1), (0, 1)])

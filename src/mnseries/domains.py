@@ -178,10 +178,18 @@ class _Domain:
 
     @property
     def modulus(self) -> int:
-        """p^N, computed on first read (not at construction, where N may be huge)."""
+        """p^N, computed on first read: not at construction, where N may be
+        huge, and only for a value that can reach it (:meth:`_reduce`)."""
         if self._modulus is None:
             object.__setattr__(self, "_modulus", self.p**self.N)
         return self._modulus
+
+    def _reduce(self, c: int) -> int:
+        """c mod p^N, building p^N only when c can reach it: ``0 <= c <
+        2^(N floor(log2 p)) <= p^N`` already holds for a short c."""
+        if c >= 0 and c.bit_length() <= self.N * (self.p.bit_length() - 1):
+            return c
+        return c % self.modulus
 
     def coeff_valuation(self, a) -> Value:
         """x-adic valuation of the mod-p reduction; +oo if that reduction is zero."""
@@ -265,8 +273,8 @@ class _PolyDomain(_Domain):
             if e.denominator not in dens:
                 dens.add(self._check_exponent(e).denominator)
             acc.setdefault((e.numerator, e.denominator), [e, 0])[1] += _integer(c)
-        den, modulus = lcm(*dens), self.modulus
-        out = sorted((n * (den // d), e, c % modulus) for (n, d), (e, c) in acc.items())
+        den = lcm(*dens)
+        out = sorted((n * (den // d), e, self._reduce(c)) for (n, d), (e, c) in acc.items())
         return XPoly(tuple((e, c) for _, e, c in out if c))
 
     def zero(self) -> XPoly:
@@ -294,9 +302,9 @@ class _PolyDomain(_Domain):
         """Sum of two elements: their exponents are already on the lattice."""
         if not (a.monomials and b.monomials):
             return a if a.monomials else b
-        modulus, acc = self.modulus, dict(a.monomials)
+        acc = dict(a.monomials)
         for e, c in b.monomials:
-            acc[e] = (acc.get(e, 0) + c) % modulus
+            acc[e] = self._reduce(acc.get(e, 0) + c)
         return XPoly(tuple(sorted(m for m in acc.items() if m[1])))
 
     def _mul(self, a: XPoly, b: XPoly) -> XPoly:
@@ -312,9 +320,9 @@ class _PolyDomain(_Domain):
             na = e.numerator * (den // e.denominator)
             for nb, cb in right:
                 acc[na + nb] = acc.get(na + nb, 0) + ca * cb
-        modulus, out = self.modulus, []
+        out = []
         for n, c in sorted(acc.items()):
-            c %= modulus
+            c = self._reduce(c)
             if c:
                 out.append((Fraction(n, den), c))
         return XPoly(tuple(out))
@@ -322,14 +330,13 @@ class _PolyDomain(_Domain):
     def validate(self, a) -> XPoly:
         if not isinstance(a, XPoly):
             raise DomainError(f"expected an XPoly coefficient, got {type(a).__name__}")
-        modulus = self.modulus
         prev = None
         for e, c in a.monomials:
             self._check_exponent(e)
             if prev is not None and e <= prev:  # the readers stop at the first unit monomial
                 raise DomainError(f"monomial exponents must strictly increase: {e} after {prev}")
-            if not (0 < c < modulus):
-                raise DomainError(f"monomial coefficient {c} outside [1, {modulus - 1}]")
+            if not (0 < c and self._reduce(c) == c):
+                raise DomainError(f"monomial coefficient {c} outside [1, {self.modulus - 1}]")
             prev = e
         return a
 
@@ -386,21 +393,21 @@ class PadicDigits(_Domain):
         return 1
 
     def from_int(self, n: int) -> int:
-        return _integer(n) % self.modulus
+        return self._reduce(_integer(n))
 
     def is_zero(self, a: int) -> bool:
         return a == 0
 
     def _add(self, a: int, b: int) -> int:
-        return (a + b) % self.modulus
+        return self._reduce(a + b)
 
     def _mul(self, a: int, b: int) -> int:
-        return (a * b) % self.modulus
+        return self._reduce(a * b)
 
     def validate(self, a) -> int:
         if not isinstance(a, int) or isinstance(a, bool):
             raise DomainError(f"expected an integer digit, got {type(a).__name__}")
-        if not (0 <= a < self.modulus):
+        if self._reduce(a) != a:
             raise DomainError(f"digit {a} outside [0, {self.modulus - 1}]")
         return a
 
@@ -412,7 +419,7 @@ class PadicDigits(_Domain):
         """Accept any integer representative and reduce it mod p^N."""
         if not isinstance(a, int) or isinstance(a, bool):
             raise DomainError(f"cannot coerce {type(a).__name__} into p-adic digits")
-        return a % self.modulus
+        return self._reduce(a)
 
 
 @dataclass(frozen=True, slots=True)

@@ -5,11 +5,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import mnseries
+import mnseries.cli as cli_module
 from mnseries.cli import main
 
 
@@ -458,11 +460,44 @@ def test_an_integer_past_the_int_string_limit_exits_1_with_its_position(capsys):
                    f"limit of {limit} digits (at position 4)\n")
 
 
-def test_a_huge_modulus_is_not_built_for_a_short_literal():
-    # p^N is computed on first read, and this canon never reads it
+@pytest.mark.parametrize("argv, expected", [
+    (["canon", "p^{5}", "--domain", "padic"], "p^{5}\n"),
+    (["mul", "p", "p", "--domain", "padic"], "p^{2}\n"),
+    (["canon", "p^{5}", "--domain", "mixed"], "p^{5}\n"),
+], ids=["canon-padic", "mul-padic", "canon-mixed"])
+def test_a_huge_modulus_is_not_built_for_a_short_literal(argv, expected, capsys, monkeypatch):
+    # p^N is built only when a value can reach it: in process at N = 10^6,
+    # no domain the command makes holds p^N afterwards; only then is the
+    # command run at N = 10^12, where p^N could not be held at all
+    domains, domain_of = [], cli_module._domain_of
+
+    def recorded(args):
+        domains.append(domain_of(args))
+        return domains[-1]
+
+    monkeypatch.setattr(cli_module, "_domain_of", recorded)
+    argv = [*argv, "--mode", "arithmetic"]
+    assert run(capsys, *argv, "--prec-N", str(10**6)) == (0, expected, "")
+    assert domains and all(dom._modulus is None for dom in domains)
     env = {**os.environ, "PYTHONPATH": str(Path(mnseries.__file__).parents[1])}
-    proc = subprocess.run(
-        [sys.executable, "-m", "mnseries", "canon", "p^{5}", "--mode", "arithmetic",
-         "--domain", "padic", "--prec-N", str(10**12)],
-        capture_output=True, text=True, timeout=60, env=env)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "p^{5}\n", "")
+    proc = subprocess.run([sys.executable, "-m", "mnseries", *argv, "--prec-N", str(10**12)],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, "")
+
+
+BENCH_MUS = sorted({Fraction(n, d) for d in (4, 8, 12, 16) for n in range(1, d)})
+
+
+@pytest.mark.parametrize("p, depth, digest", [
+    (2, 128, "6f0c42d33340014316935c9d63b1fcf489379a4669424f5fc8ee76df42855734"),
+    (2, 1024, "7906ef768b27ad8e72a50fcc264ebe920ec85c2b964465d38d0d4c306b619952"),
+    (3, 128, "51d6ebb60438a76325f21a7234f67524b4ed3134da5bc4510db94456c0fa07dc"),
+    (3, 1024, "9a4fea0d38d82a7284b649d1e1fa4c07d5b4a27bb3f1fb4fd26d09b1cf65e30b"),
+])
+def test_chain_json_bytes_over_the_benchmark_exponents(capsys, p, depth, digest):
+    # one grid of all 23 exponents the profile-chain benchmark draws
+    argv = ["chain", *[a for mu in BENCH_MUS for a in ("--mu", str(mu))],
+            "--depth", str(depth), "--p", str(p), "--format", "json"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -187,9 +187,12 @@ class _Domain:
     def _reduce(self, c: int) -> int:
         """c mod p^N, building p^N only when c can reach it: ``0 <= c <
         2^(N floor(log2 p)) <= p^N`` already holds for a short c."""
-        if c >= 0 and c.bit_length() <= self.N * (self.p.bit_length() - 1):
-            return c
-        return c % self.modulus
+        modulus = self._modulus
+        if modulus is None:
+            if c >= 0 and c.bit_length() <= self.N * (self.p.bit_length() - 1):
+                return c
+            modulus = self.modulus
+        return c % modulus
 
     def coeff_valuation(self, a) -> Value:
         """x-adic valuation of the mod-p reduction; +oo if that reduction is zero."""

@@ -600,8 +600,8 @@ def chain_report(
     falls along the stream, so K is the last k.  Every
     ``m >= 2^GUARD_BITS > 0`` (k makes ``tau p^k >= 2^G i^2``), so every
     q_i is positive and each element lies in the ideal at any depth; the
-    flag reads the window's last ordinate, the least digit read.  One pass
-    over the grid does it all.
+    flag reads the window's last ordinate, positive like every digit.  One
+    pass over the grid does it all.
     """
     depth = _positive_integer(depth, "depth")
     grid = [_exact(m, _EXPONENTS) for m in mu_grid]

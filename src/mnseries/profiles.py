@@ -111,9 +111,9 @@ class RationalInterval:
         return self.hi - self.lo
 
 
-def _nth_root_interval(q: Fraction, n: int, precision_bits: int = 64) -> RationalInterval:
-    """Enclosure of q**(1/n) with absolute width 1 / (den * 2^bits)."""
-    scale = 1 << precision_bits
+def _nth_root_interval(q: Fraction, n: int) -> RationalInterval:
+    """Enclosure of q**(1/n) with absolute width 1 / (den * 2^64)."""
+    scale = 1 << 64
     num, den = q.numerator, q.denominator
     m = iroot(n, num * den ** (n - 1) * scale**n)
     return RationalInterval(Fraction(m, den * scale), Fraction(m + 1, den * scale))

@@ -66,12 +66,16 @@ def is_finite(v: Value) -> bool:
 def _exact(x, rule: str) -> Fraction:
     """``x`` as a Fraction.  A bool or a float is not an exact rational: a
     binary float lies on the 2-power lattice and True passes as 1, so either
-    would be taken silently; each raises ``ValueError(rule)``."""
+    would be taken silently; each raises ``ValueError(rule)``, as does
+    whatever ``Fraction`` refuses (None, ``"1/0"``, a complex number)."""
     if type(x) is Fraction:
         return x
-    if isinstance(x, (bool, float)):
-        raise ValueError(f"{rule}, got {x!r}")
-    return Fraction(x)
+    if not isinstance(x, (bool, float)):
+        try:
+            return Fraction(x)
+        except (ArithmeticError, TypeError, ValueError):
+            pass
+    raise ValueError(f"{rule}, got {x!r}")
 
 
 def as_exponent(x) -> Fraction:

@@ -84,7 +84,7 @@ def _sample_s(rng: random.Random, n: int = 5) -> List[Fraction]:
     return rng.sample(_S_POOL, n)
 
 
-def _rand_exponent(rng: random.Random, p: int, lattice: bool, max_num: int = 10) -> Fraction:
+def _rand_exponent(rng: random.Random, p: int, lattice: bool, max_num: int) -> Fraction:
     den = p ** rng.randrange(0, 3) if lattice else rng.choice([1, 2, 3, 4])
     return Fraction(rng.randrange(0, max_num * den + 1), den)
 
@@ -427,8 +427,8 @@ def _suite_commutation(rng: random.Random, cases: int) -> List[str]:
     return failures
 
 
-def _rand_polygon_points(rng: random.Random, n: int = 5):
-    xs = sorted(rng.sample(range(0, 12), n))
+def _rand_polygon_points(rng: random.Random):
+    xs = sorted(rng.sample(range(0, 12), 5))
     return [(Fraction(x), Fraction(rng.randrange(0, 12), rng.choice([1, 2, 3]))) for x in xs]
 
 

@@ -40,6 +40,7 @@ from mnseries import (
     term_values,
 )
 from mnseries.cli import main as cli_main
+from mnseries.verify import _rand_series
 
 S_GRID = [Q(1, 4), Q(1, 2), Q(1), Q(3, 2), Q(2)]
 MU_GRID = [Q(k, 8) for k in range(1, 8)]
@@ -51,56 +52,6 @@ def report(number: int, name: str, ok: bool, detail: str = "") -> None:
     print(f"ACCEPTANCE {number:02d} {name}: {status}{suffix}")
 
 
-# --- generators (local to the acceptance suite) ----------------------------
-
-
-def rand_formal_series(rng, dom, max_terms=5):
-    terms = []
-    for _ in range(rng.randrange(0, max_terms + 1)):
-        e = Q(rng.randrange(0, 13), rng.choice([1, 2, 4]))
-        coeff = dom.poly(
-            [
-                (Q(rng.randrange(0, 9), dom.p), rng.randrange(1, dom.p))
-                for _ in range(rng.randrange(1, 3))
-            ]
-        )
-        terms.append((e, coeff))
-    return Series.make(dom, Mode.FORMAL, terms)
-
-
-def rand_padic_series(rng, dom, max_terms=5, integer_exponents=False):
-    terms = []
-    for _ in range(rng.randrange(0, max_terms + 1)):
-        e = (
-            Q(rng.randrange(0, 7))
-            if integer_exponents
-            else Q(rng.randrange(0, 13), rng.choice([1, 2, 4]))
-        )
-        terms.append((e, rng.randrange(1, dom.p**3)))
-    return Series.make(dom, Mode.ARITHMETIC, terms)
-
-
-def rand_mixed_series(rng, dom, max_terms=4):
-    terms = []
-    for _ in range(rng.randrange(0, max_terms + 1)):
-        e = Q(rng.randrange(0, 9), rng.choice([1, 2]))
-        coeff = dom.poly(
-            [
-                (Q(rng.randrange(0, 9), dom.p), rng.randrange(1, dom.p**2))
-                for _ in range(rng.randrange(1, 3))
-            ]
-        )
-        terms.append((e, coeff))
-    return Series.make(dom, Mode.ARITHMETIC, terms)
-
-
-def rand_nonzero(make, *args):
-    while True:
-        f = make(*args)
-        if not f.is_zero:
-            return f
-
-
 # --- criteria ---------------------------------------------------------------
 
 
@@ -110,7 +61,7 @@ def test_criterion_01_multiplicativity():
     bad = 0
     for _ in range(1000):
         dom = PerfectPoly(rng.choice([2, 3, 5]), "p-power")
-        f, g = rand_formal_series(rng, dom), rand_formal_series(rng, dom)
+        f, g = _rand_series(rng, dom, Mode.FORMAL), _rand_series(rng, dom, Mode.FORMAL)
         fg, _ = mul(f, g)
         for s in S_GRID:
             vf, _ = gauss_valuation(f, s)
@@ -119,7 +70,7 @@ def test_criterion_01_multiplicativity():
                 bad += 1
     for _ in range(500):
         dom = PadicDigits(rng.choice([2, 3, 5]), 32)
-        f, g = rand_padic_series(rng, dom), rand_padic_series(rng, dom)
+        f, g = _rand_series(rng, dom, Mode.ARITHMETIC), _rand_series(rng, dom, Mode.ARITHMETIC)
         fg, _ = mul(f, g)
         for s in S_GRID:
             vf, _ = gauss_valuation(f, s)
@@ -138,7 +89,7 @@ def test_criterion_02_triangle_and_submultiplicativity():
     bad = 0
     for _ in range(1000):
         dom = PerfectPoly(rng.choice([2, 3, 5]), "p-power")
-        f, g = rand_formal_series(rng, dom), rand_formal_series(rng, dom)
+        f, g = _rand_series(rng, dom, Mode.FORMAL), _rand_series(rng, dom, Mode.FORMAL)
         h = add(f, g)
         fg, _ = mul(f, g)
         for s in S_GRID:
@@ -154,10 +105,11 @@ def test_criterion_02_triangle_and_submultiplicativity():
         kind = rng.choice(["padic", "mixed"])
         if kind == "padic":
             dom = PadicDigits(rng.choice([2, 3, 5]), 32)
-            f, g = rand_padic_series(rng, dom), rand_padic_series(rng, dom)
+            f, g = _rand_series(rng, dom, Mode.ARITHMETIC), _rand_series(rng, dom, Mode.ARITHMETIC)
         else:
             dom = MixedPoly(rng.choice([2, 3]), 32, "p-power")
-            f, g = rand_mixed_series(rng, dom), rand_mixed_series(rng, dom)
+            f, g = (_rand_series(rng, dom, Mode.ARITHMETIC, max_terms=4),
+                    _rand_series(rng, dom, Mode.ARITHMETIC, max_terms=4))
         h = add(f, g)
         fg, _ = mul(f, g)
         for s in S_GRID:
@@ -180,13 +132,13 @@ def test_criterion_03_diagram_commutation():
     for i in range(1000):
         if i % 5 < 3:
             dom = PerfectPoly(rng.choice([2, 3, 5]), "p-power")
-            f = rand_nonzero(rand_formal_series, rng, dom)
+            f = _rand_series(rng, dom, Mode.FORMAL, nonzero=True)
         elif i % 5 == 3:
             dom = PadicDigits(rng.choice([2, 3, 5]), 32)
-            f = rand_nonzero(rand_padic_series, rng, dom)
+            f = _rand_series(rng, dom, Mode.ARITHMETIC, nonzero=True)
         else:
             dom = MixedPoly(rng.choice([2, 3]), 32, "p-power")
-            f = rand_nonzero(rand_mixed_series, rng, dom)
+            f = _rand_series(rng, dom, Mode.ARITHMETIC, max_terms=4, nonzero=True)
         poly = newton_polygon(f)
         for s in S_GRID:
             if legendre_eval(poly, s) != gauss_valuation(f, s)[0]:
@@ -202,8 +154,8 @@ def test_criterion_04_carrying_oracle():
     for _ in range(500):
         p = rng.choice([2, 3, 5])
         dom = PadicDigits(p, 32)
-        f = rand_padic_series(rng, dom, integer_exponents=True)
-        g = rand_padic_series(rng, dom, integer_exponents=True)
+        f = _rand_series(rng, dom, Mode.ARITHMETIC, integer_exponents=True)
+        g = _rand_series(rng, dom, Mode.ARITHMETIC, integer_exponents=True)
         prod, _ = mul(f, g)
         int_f = sum(a * p ** int(e) for e, a in f.terms)
         int_g = sum(a * p ** int(e) for e, a in g.terms)
@@ -320,7 +272,7 @@ def test_criterion_09_witness_suites():
     bad = 0
     for _ in range(1000):
         dom = PerfectPoly(rng.choice([2, 3, 5]), "p-power")
-        f = rand_nonzero(rand_formal_series, rng, dom)
+        f = _rand_series(rng, dom, Mode.FORMAL, nonzero=True)
         s = rng.choice(S_GRID)
         a_star = argnorm(f, s)
         v0, _ = gauss_valuation(f, s)
@@ -337,8 +289,8 @@ def test_criterion_09_witness_suites():
                 bad += 1
     for _ in range(500):
         dom = PerfectPoly(rng.choice([2, 3, 5]), "p-power")
-        f = rand_nonzero(rand_formal_series, rng, dom)
-        g = rand_nonzero(rand_formal_series, rng, dom)
+        f = _rand_series(rng, dom, Mode.FORMAL, nonzero=True)
+        g = _rand_series(rng, dom, Mode.FORMAL, nonzero=True)
         s = rng.choice(S_GRID)
         _, prediction = localize(f, g, s)
         fg, _ = mul(f, g)

@@ -29,6 +29,7 @@ from mnseries import (
     tropical_min,
     verify_npf,
 )
+from mnseries.verify import _rand_series
 
 P3 = PerfectPoly(3)
 
@@ -168,17 +169,7 @@ def test_commutation_on_random_series():
     doms += [(PadicDigits(p), Mode.ARITHMETIC) for p in (2, 3)]
     for _ in range(150):
         dom, mode = rng.choice(doms)
-        terms = []
-        for _ in range(rng.randrange(1, 5)):
-            e = Q(rng.randrange(0, 9), rng.choice([1, 2, 3]))
-            if mode is Mode.FORMAL:
-                a = dom.x_power(Q(rng.randrange(0, 9), dom.p), rng.randrange(1, dom.p))
-            else:
-                a = rng.randrange(1, dom.p ** 2)
-            terms.append((e, a))
-        f = Series.make(dom, mode, terms)
-        if f.is_zero:
-            continue
+        f = _rand_series(rng, dom, mode, max_terms=4, nonzero=True)
         poly = newton_polygon(f)
         for s in (Q(1, 3), Q(1, 2), Q(1), Q(2), Q(7, 2)):
             assert legendre_eval(poly, s) == gauss_valuation(f, s)[0]

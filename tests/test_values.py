@@ -45,7 +45,7 @@ def test_gauss_param_validation():
         as_gauss_param(-1)
 
 
-@pytest.mark.parametrize("bad", [True, False, 0.5, 2.0, float("nan")])
+@pytest.mark.parametrize("bad", [True, False, 0.5, 2.0, float("nan"), None, "1/0", "x", 1j])
 def test_bool_and_float_are_not_exact_rationals(bad):
     with pytest.raises(ValueError, match="exact rational"):
         as_exponent(bad)

@@ -11,7 +11,6 @@ Commands::
     chain       pairwise separation report over an exponent grid
     example-sup term values of the strict-infimum example
     verify      seeded property suites (exit 2 on failure)
-    plot        csv/svg emission for np, leg or chain output
 
 Exit codes: 0 success, 1 usage/parse/domain error, 2 property-suite failure.
 All randomness is seeded (default 0) and reports are byte-stable.
@@ -139,12 +138,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_series_flags(p_gauss)
     _add_output_flags(p_gauss, formats=("text",))
 
-    for name, help_text in (("mul", "product of two series"), ("add", "sum of two series")):
+    for name, help_text, formats in (("mul", "product of two series", ("text", "json")),
+                                     ("add", "sum of two series", ("text",))):
         p_op = sub.add_parser(name, help=help_text)
         p_op.add_argument("left")
         p_op.add_argument("right")
         _add_series_flags(p_op)
-        _add_output_flags(p_op, formats=("text", "json"))
+        _add_output_flags(p_op, formats=formats)
 
     p_canon = sub.add_parser("canon", help="canonical digit form")
     p_canon.add_argument("series")
@@ -177,16 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--cases", type=int, default=200)
     p_verify.add_argument("--seed", type=int, default=0)
     _add_output_flags(p_verify, formats=("text",))
-
-    p_plot = sub.add_parser("plot", help="emit csv/svg for np, leg or chain")
-    p_plot.add_argument("what", choices=["np", "leg", "chain"])
-    p_plot.add_argument("series", nargs="?", default=None)
-    p_plot.add_argument("--s", action="append", type=_fraction, default=[])
-    p_plot.add_argument("--mu", action="append", type=_fraction, default=[])
-    p_plot.add_argument("--depth", type=int, default=128)
-    _add_series_flags(p_plot)
-    _add_output_flags(p_plot, formats=("csv", "svg", "json"))
-    p_plot.set_defaults(format=None)  # csv for np and leg; chain prints json
 
     return parser
 
@@ -272,6 +262,8 @@ def _cmd_canon(args) -> int:
 
 
 def _cmd_approx(args) -> int:
+    if args.target and args.mu:
+        raise MNSeriesError("approx takes --target nodes or --mu exponents, not both")
     domain = _domain_of(args)
     if args.target:
         series, cert = discretely_approximate(args.target, domain)
@@ -322,20 +314,6 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 2
 
 
-def _cmd_plot(args) -> int:
-    if args.what == "chain":
-        if args.format not in (None, "json"):
-            raise MNSeriesError(f"plot chain prints json, not {args.format}")
-        args.format = "json"
-        return _cmd_chain(args)
-    args.format = args.format or "csv"
-    if args.series is None:
-        raise MNSeriesError(f"plot {args.what} needs a series literal")
-    if args.what == "np":
-        return _cmd_np(args)
-    return _cmd_leg(args)
-
-
 _HANDLERS = {
     "np": _cmd_np,
     "leg": _cmd_leg,
@@ -347,7 +325,6 @@ _HANDLERS = {
     "chain": _cmd_chain,
     "example-sup": _cmd_example_sup,
     "verify": _cmd_verify,
-    "plot": _cmd_plot,
 }
 
 

@@ -139,11 +139,17 @@ def inverse_legendre_power(mu) -> Tuple[Union[Fraction, RationalInterval], Fract
     """Constants (c, r) with ``inf_x (c x^-r + s x) = s^mu`` for 0 < mu < 1.
 
     ``r = mu / (1 - mu)`` exactly.  Writing r = a/b in lowest terms,
-    ``c^b = a^a b^b / (a+b)^(a+b)``; c is returned as an exact rational
-    when that quotient is a perfect b-th power and as a certified interval
-    otherwise.  The constant is accepted only after the exact integer
-    certificate ``c^b (a+b)^(a+b) = a^a b^b`` holds, or, for an interval,
-    brackets it.
+    ``c^b = a^a b^b / (a+b)^(a+b)``.  c is returned as the exact rational
+    ``a^a / (a+1)^(a+1)`` when b = 1 and as a certified interval otherwise.
+    The constant is accepted only after the exact integer certificate
+    ``c^b (a+b)^(a+b) = a^a b^b`` holds, or, for an interval, brackets it.
+
+    For b >= 2, c is irrational.  Since gcd(a, b) = 1, a and b are both
+    prime to a + b, so the quotient is in lowest terms, and it is a b-th
+    power only if both ``a^a b^b`` and ``(a+b)^(a+b)`` are.  For a prime q
+    dividing a, b then divides ``a * ord_q(a)``, hence ``ord_q(a)``; so
+    a = x^b, and likewise a + b = y^b with y > x >= 1.  But
+    ``y^b - x^b >= (x+1)^b - x^b >= b x^(b-1) + 1 > b``.
     """
     return _inverse_legendre_power_cached(_exact(mu, _EXPONENTS))
 
@@ -154,14 +160,11 @@ def _inverse_legendre_power_cached(mu: Fraction) -> Tuple[Union[Fraction, Ration
         raise ValueError(f"exponent must lie in (0, 1), got {mu}")
     r = mu / (1 - mu)
     a, b = r.numerator, r.denominator
-    num = a**a * b**b
-    den = (a + b) ** (a + b)
-    root_num, root_den = iroot(b, num), iroot(b, den)
     c: Union[Fraction, RationalInterval]
-    if root_num**b == num and root_den**b == den:
-        c = Fraction(root_num, root_den)
+    if b == 1:  # c is irrational otherwise; see inverse_legendre_power
+        c = Fraction(a**a, (a + 1) ** (a + 1))
     else:
-        c = _nth_root_interval(Fraction(num, den), b)
+        c = _nth_root_interval(Fraction(a**a * b**b, (a + b) ** (a + b)), b)
     _certify_inverse_constant(c, a, b)
     return c, r
 

@@ -216,6 +216,12 @@ def test_approx_requires_input(capsys):
     assert code == 1 and "error:" in err
 
 
+def test_approx_rejects_targets_with_exponents(capsys):
+    code, out, err = run(capsys, "approx", "--target", "1=1", "--mu", "1/2")
+    assert code == 1 and out == ""
+    assert err == "error: approx takes --target nodes or --mu exponents, not both\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--mu", "1/2", "--domain", "padic"], "profiles need a polynomial coefficient domain"),
     (["--target", "1=1", "--domain", "padic"], "discrete approximation needs a polynomial"),
@@ -264,39 +270,26 @@ def test_verify_unknown_suite(capsys):
     assert code == 1 and "unknown suite" in err
 
 
-def test_plot_chain_json(tmp_path, capsys):
+def test_chain_json_out_file(tmp_path, capsys):
     out_path = tmp_path / "chain.json"
-    code, _, _ = run(
-        capsys, "plot", "chain", "--mu", "1/4", "--mu", "1/2", "--depth", "8",
+    code, out, _ = run(
+        capsys, "chain", "--mu", "1/4", "--mu", "1/2", "--depth", "8", "--format", "json",
         "--out", str(out_path),
     )
-    assert code == 0
+    assert code == 0 and out == ""
     payload = json.loads(out_path.read_text())
     assert payload["all_in_ideal"] is True
 
 
-def test_plot_chain_prints_chain_json(capsys):
-    argv = ["--mu", "1/4", "--mu", "1/2", "--depth", "8", "--p", "3"]
-    code, plotted, _ = run(capsys, "plot", "chain", *argv)
-    assert code == 0
-    assert plotted == run(capsys, "chain", *argv, "--format", "json")[1]
-
-
 @pytest.mark.parametrize("fmt", ["csv", "svg"])
-def test_plot_chain_rejects_csv_and_svg(capsys, fmt):
-    code, out, err = run(capsys, "plot", "chain", "--mu", "1/2", "--format", fmt)
+def test_chain_rejects_csv_and_svg(capsys, fmt):
+    code, out, err = run(capsys, "chain", "--mu", "1/2", "--format", fmt)
     assert code == 1 and out == ""
-    assert f"plot chain prints json, not {fmt}" in err
+    assert f"invalid choice: '{fmt}'" in err
 
 
-def test_plot_np_defaults_to_csv(capsys):
-    code, out, _ = run(capsys, "plot", "np", "x^{2} + x*t + t^{2}", "--p", "3")
-    assert code == 0
-    assert out == run(capsys, "np", "x^{2} + x*t + t^{2}", "--p", "3", "--format", "csv")[1]
-
-
-def test_plot_leg_csv_deterministic(capsys):
-    args = ["plot", "leg", "x^{2} + x*t + t^{2}", "--p", "3", "--s", "1/2", "--s", "2"]
+def test_leg_csv_deterministic(capsys):
+    args = ["leg", "x^{2} + x*t + t^{2}", "--p", "3", "--s", "1/2", "--s", "2", "--format", "csv"]
     code1, out1, _ = run(capsys, *args)
     code2, out2, _ = run(capsys, *args)
     assert code1 == code2 == 0
@@ -311,6 +304,10 @@ def test_usage_errors_exit_1_and_help_exits_0(capsys):
     assert code == 1 and "required" in err
     code, _, _ = run(capsys)  # no command
     assert code == 1
+    code, out, err = run(capsys, "add", "1", "1", "--format", "json")  # add prints text only
+    assert code == 1 and out == "" and "invalid choice: 'json'" in err
+    code, out, err = run(capsys, "plot", "np", "x")  # not a command
+    assert code == 1 and out == "" and "invalid choice: 'plot'" in err
     code, out, _ = run(capsys, "--help")
     assert code == 0 and out.startswith("usage: mnseries")
     code, out, _ = run(capsys, "mul", "--help")

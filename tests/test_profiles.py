@@ -1,5 +1,6 @@
 """Profiles, inverse Legendre constants, classification, chains, ideals."""
 
+import hashlib
 import math
 import os
 import random
@@ -99,6 +100,18 @@ def test_inverse_legendre_interval_case():
     rf = 1 / 7
     true = rf**rf / (1 + rf) ** (1 + rf)
     assert abs(float(c.midpoint) - true) < 1e-12
+
+
+def test_inverse_constant_is_rational_exactly_when_r_is_an_integer():
+    # every k/d, 2 <= d <= 60, duplicates included; the digest pins each (c, r)
+    digest = hashlib.sha256()
+    for d in range(2, 61):
+        for k in range(1, d):
+            c, r = inverse_legendre_power(Q(k, d))
+            assert isinstance(c, Q) == (r.denominator == 1), (k, d)
+            digest.update((repr((c, r)) + "\n").encode())
+    assert digest.hexdigest() == (
+        "eeed0899c31fd7afaa3d5be671a3024966e42315e95bb347bfdedc33c6c260a2")
 
 
 def test_inverse_legendre_domain():

@@ -1028,9 +1028,11 @@ def test_witnesses_read_one_term_value_pass(monkeypatch):
 # --- known silent wraparound ------------------------------------------------
 # Arithmetic mode folds equal exponents, multiplies digits, and coerces an
 # outside integer (from_int and coerce), modulo p^N before the carry sees
-# them, so an overflow past p^N can vanish without a PrecisionLossError.  Each
-# test first pins the N = 32 result the small-N computation loses.  They fail
-# as XPASS once the fold and the coercion are exact.
+# them, so an overflow past p^N can vanish without a PrecisionLossError.  The
+# parser does both: from_int reduces each integer literal, and a term's factors
+# are multiplied with the reducing digit product.  Each test first pins the
+# N = 32 result the small-N computation loses.  They fail as XPASS once the
+# fold, the products and the coercion are exact.
 
 _WRAPAROUND = pytest.mark.xfail(
     strict=True, raises=pytest.fail.Exception, reason="silent mod-p^N wraparound"
@@ -1074,6 +1076,18 @@ def test_mixed_square_overflow_raises():
     assert square(MixedPoly(3, 32)).coefficient(2) == MixedPoly(3, 32).x_power(2)
     with pytest.raises(PrecisionLossError):
         square(MixedPoly(3, 2))
+
+
+@_WRAPAROUND
+@pytest.mark.parametrize("text, dom, wide", [
+    ("4", PadicDigits, "p^{2}"),  # `mnseries canon 4 --mode arithmetic --prec-N 2` prints 0
+    ("2*2", PadicDigits, "p^{2}"),
+    ("(2*x)*(2*x)", MixedPoly, "x^{2}*p^{2}"),
+])
+def test_parsed_overflow_raises(text, dom, wide):
+    assert format_series(parse_series(text, dom(2, 32), Mode.ARITHMETIC)) == wide
+    with pytest.raises(PrecisionLossError):
+        parse_series(text, dom(2, 2), Mode.ARITHMETIC)
 
 
 @_WRAPAROUND

@@ -1,12 +1,14 @@
 """Property-suite runner: coverage, determinism, report format."""
 
 import hashlib
+import importlib
 import json
 import random
 from pathlib import Path
 
 import pytest
 
+import mnseries
 import mnseries.verify as verify_module
 from mnseries import (MixedPoly, PadicDigits, PerfectPoly, Series, format_report, run_all, run_suite,
                       suite_names)
@@ -72,6 +74,25 @@ def test_reports_match_the_recorded_digests():
     for name in suite_names():
         report = format_report([run_suite(name, 15, 0)])
         assert hashlib.sha256(report.encode("utf-8")).hexdigest() == digests[name]["15"][0], name
+
+
+def test_benchmark_seams_keep_their_names(monkeypatch):
+    """Every name perfbench/tracing.py wraps, and the profile-chain checker reads, resolves."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    for _, modname, attr in tracing.SPANS:
+        owner = importlib.import_module(f"mnseries.{modname}")
+        if "." in attr:  # the tracer replaces the method in the class's own namespace
+            cls_name, meth = attr.split(".")
+            owner, attr = getattr(owner, cls_name), meth
+            assert attr in vars(owner), f"{cls_name}.{meth}"
+        assert callable(getattr(owner, attr)), attr
+    domains = importlib.import_module("mnseries.domains")
+    for name in tracing.DOMAIN_CLASSES:
+        assert isinstance(getattr(domains, name), type), name
+    for name in ("materialize", "PerfectPoly"):
+        assert callable(getattr(mnseries, name)), name
+    assert callable(mnseries.ProfileElement.for_exponent)
 
 
 @pytest.mark.parametrize("bad", [-3, 0, True, 2.0, "5"])

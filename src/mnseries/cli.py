@@ -12,6 +12,11 @@ Commands::
     example-sup term values of the strict-infimum example
     verify      seeded property suites (exit 2 on failure)
 
+``--prec-N`` is read by the padic and mixed domains (default 32) and
+``--denominators`` by the perfect and mixed ones (default any); a domain
+flag the chosen domain does not read exits 1.  ``--format`` exists only
+where a second format does.
+
 Exit codes: 0 success, 1 usage/parse/domain error, 2 property-suite failure.
 All randomness is seeded (default 0) and reports are byte-stable.
 """
@@ -19,11 +24,12 @@ All randomness is seeded (default 0) and reports are byte-stable.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .domains import MixedPoly, PadicDigits, PerfectPoly
 from .errors import MNSeriesError
@@ -45,7 +51,7 @@ from .profiles import (
 )
 from .series import Mode, add, argnorm, gauss_valuation, mul
 from .values import format_value
-from .verify import format_report, run_all, run_suite, suite_names
+from .verify import format_report, run_suite, suite_names
 
 __all__ = ["main", "build_parser"]
 
@@ -65,52 +71,57 @@ def _target(text: str) -> Tuple[int, Fraction]:
         raise argparse.ArgumentTypeError(f"expected i=num/den, got {text!r}") from exc
 
 
+_DOMAINS = {"perfect": PerfectPoly, "padic": PadicDigits, "mixed": MixedPoly}
+
+
+class _DomainField(argparse.Action):
+    """Collect a given domain flag in ``args.given`` as {init field: (flag, value)}."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        namespace.given = {**namespace.given, self.dest: (self.option_strings[0], values)}
+
+
 def _add_series_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=["formal", "arithmetic"], default="formal")
     p.add_argument("--p", type=int, default=2, help="prime of the coefficient domain")
-    p.add_argument("--prec-N", dest="prec_n", type=int, default=32,
-                   help="digit modulus exponent for p-adic domains")
-    p.add_argument("--domain", choices=["perfect", "padic", "mixed"], default=None)
-    p.add_argument("--denominators", choices=["p-power", "any"], default="any",
-                   help="exponent lattice of polynomial coefficients")
+    p.add_argument("--prec-N", dest="N", type=int, action=_DomainField,
+                   help="digit modulus exponent, read by the padic and mixed domains (default 32)")
+    p.add_argument("--domain", choices=list(_DOMAINS), default=None)
+    p.add_argument("--denominators", choices=["p-power", "any"], action=_DomainField,
+                   help="exponent lattice, read by the perfect and mixed domains (default any)")
+    p.set_defaults(given={})
 
 
-def _add_output_flags(p: argparse.ArgumentParser, formats=("text", "csv", "svg", "json")) -> None:
+def _add_output_flags(p: argparse.ArgumentParser, *formats: str) -> None:
     p.add_argument("--out", default=None, help="output path (stdout when omitted)")
-    p.add_argument("--format", choices=list(formats), default="text")
+    if formats:
+        p.add_argument("--format", choices=["text", *formats], default="text")
 
 
 def _domain_of(args):
-    name = args.domain
-    if name is None:
-        name = "perfect" if args.mode == "formal" else "padic"
-    if name == "perfect":
-        return PerfectPoly(args.p, args.denominators)
-    if name == "padic":
-        return PadicDigits(args.p, args.prec_n)
-    return MixedPoly(args.p, args.prec_n, args.denominators)
-
-
-def _mode_of(args) -> Mode:
-    return Mode.FORMAL if args.mode == "formal" else Mode.ARITHMETIC
+    """The domain ``--domain`` names, built from the domain flags given only;
+    a flag the class has no init field for is refused."""
+    name = args.domain or ("perfect" if args.mode == "formal" else "padic")
+    cls = _DOMAINS[name]
+    fields = {f.name for f in dataclasses.fields(cls) if f.init}
+    for field, (flag, _) in args.given.items():
+        if field not in fields:
+            raise MNSeriesError(f"the {name} domain does not read {flag}")
+    return cls(args.p, **{field: value for field, (_, value) in args.given.items()})
 
 
 def _parse(args, text: str):
-    return parse_series(text, _domain_of(args), _mode_of(args))
+    return parse_series(text, _domain_of(args), Mode(args.mode))
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+def _emit(text: str, out: Optional[str]) -> int:
+    """Write ``text`` to ``out`` (stdout when None); exit code 0."""
     if out is None:
         sys.stdout.write(text)
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _require_s(args) -> List[Fraction]:
-    if not args.s:
-        raise MNSeriesError("at least one --s value is required")
-    return args.s
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -122,69 +133,80 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_np = sub.add_parser("np", help="Newton polygon of a series")
+    p_np.set_defaults(run=_cmd_np)
     p_np.add_argument("series")
     _add_series_flags(p_np)
-    _add_output_flags(p_np)
+    _add_output_flags(p_np, "csv", "svg", "json")
 
     p_leg = sub.add_parser("leg", help="Legendre transform of the polygon")
+    p_leg.set_defaults(run=_cmd_leg)
     p_leg.add_argument("series")
-    p_leg.add_argument("--s", action="append", type=_fraction, default=[])
+    p_leg.add_argument("--s", action="append", type=_fraction, required=True)
     _add_series_flags(p_leg)
-    _add_output_flags(p_leg)
+    _add_output_flags(p_leg, "csv", "svg", "json")
 
     p_gauss = sub.add_parser("gauss", help="Gauss valuation at sample parameters")
+    p_gauss.set_defaults(run=_cmd_gauss)
     p_gauss.add_argument("series")
-    p_gauss.add_argument("--s", action="append", type=_fraction, default=[])
+    p_gauss.add_argument("--s", action="append", type=_fraction, required=True)
     _add_series_flags(p_gauss)
-    _add_output_flags(p_gauss, formats=("text",))
+    _add_output_flags(p_gauss)
 
-    for name, help_text, formats in (("mul", "product of two series", ("text", "json")),
-                                     ("add", "sum of two series", ("text",))):
+    for name, help_text, formats in (("mul", "product of two series", ("json",)),
+                                     ("add", "sum of two series", ())):
         p_op = sub.add_parser(name, help=help_text)
+        p_op.set_defaults(run=_cmd_binop)
         p_op.add_argument("left")
         p_op.add_argument("right")
         _add_series_flags(p_op)
-        _add_output_flags(p_op, formats=formats)
+        _add_output_flags(p_op, *formats)
 
     p_canon = sub.add_parser("canon", help="canonical digit form")
+    p_canon.set_defaults(run=_cmd_canon)
     p_canon.add_argument("series")
     _add_series_flags(p_canon)
-    _add_output_flags(p_canon, formats=("text",))
+    _add_output_flags(p_canon)
 
     p_approx = sub.add_parser("approx", help="discrete approximation of convex targets")
-    p_approx.add_argument("--target", action="append", type=_target, default=[],
-                          help="node as i=num/den (repeatable)")
-    p_approx.add_argument("--mu", action="append", type=_fraction, default=[],
-                          help="profile exponent in (0,1) (alternative to --target)")
-    p_approx.add_argument("--depth", type=int, default=16)
+    p_approx.set_defaults(run=_cmd_approx)
+    nodes_or_profiles = p_approx.add_mutually_exclusive_group(required=True)
+    nodes_or_profiles.add_argument("--target", action="append", type=_target,
+                                   help="node as i=num/den (repeatable)")
+    nodes_or_profiles.add_argument("--mu", action="append", type=_fraction,
+                                   help="profile exponent in (0,1) (repeatable)")
+    p_approx.add_argument("--depth", type=int, help="profile depth, with --mu only (default 16)")
     _add_series_flags(p_approx)
-    _add_output_flags(p_approx, formats=("text",))
+    _add_output_flags(p_approx)
 
     p_chain = sub.add_parser("chain", help="pairwise separation report")
-    p_chain.add_argument("--mu", action="append", type=_fraction, default=[])
+    p_chain.set_defaults(run=_cmd_chain)
+    p_chain.add_argument("--mu", action="append", type=_fraction, required=True)
     p_chain.add_argument("--depth", type=int, default=128)
     p_chain.add_argument("--p", type=int, default=2)
-    _add_output_flags(p_chain, formats=("text", "json"))
+    _add_output_flags(p_chain, "json")
 
     p_sup = sub.add_parser("example-sup", help="strict-infimum example values")
+    p_sup.set_defaults(run=_cmd_example_sup)
     p_sup.add_argument("--s", type=_fraction, default=Fraction(1))
     p_sup.add_argument("--depth", type=int, default=20)
-    _add_output_flags(p_sup, formats=("text", "csv"))
+    _add_output_flags(p_sup, "csv")
 
     p_verify = sub.add_parser("verify", help="run property suites")
-    p_verify.add_argument("suite", nargs="?", default="all",
+    p_verify.set_defaults(run=_cmd_verify)
+    p_verify.add_argument("suite", nargs="?", default="all", choices=["all", *suite_names()],
                           help="suite name or 'all' (default)")
     p_verify.add_argument("--cases", type=int, default=200)
     p_verify.add_argument("--seed", type=int, default=0)
-    _add_output_flags(p_verify, formats=("text",))
+    _add_output_flags(p_verify)
 
     return parser
 
 
 @lru_cache(maxsize=1)
 def _shared_parser() -> argparse.ArgumentParser:
-    """One parser per process: parsing builds a fresh namespace and copies
-    each ``append`` default before extending it, so calls share no state."""
+    """One parser per process: parsing builds a fresh namespace, and no
+    action changes a default in place (no ``append`` option has one, and a
+    domain flag replaces ``given``), so calls share no state."""
     return build_parser()
 
 
@@ -203,8 +225,7 @@ def _emit_points(args, points, keys: Tuple[str, str], labels: Tuple[str, str],
         lines = [prefix + " ".join(f"{k}={format_value(v)}" for k, v in zip(keys, point))
                  for point in points]
         text = "\n".join(lines + list(footer)) + "\n"
-    _emit(text, args.out)
-    return 0
+    return _emit(text, args.out)
 
 
 def _cmd_np(args) -> int:
@@ -214,84 +235,79 @@ def _cmd_np(args) -> int:
 
 def _cmd_leg(args) -> int:
     poly = newton_polygon(_parse(args, args.series))
-    samples = [(s, legendre_eval(poly, s)) for s in _require_s(args)]
+    samples = [(s, legendre_eval(poly, s)) for s in args.s]
     return _emit_points(args, samples, ("s", "value"), ("s", "legendre"))
 
 
 def _cmd_gauss(args) -> int:
     f = _parse(args, args.series)
     lines = []
-    for s in _require_s(args):
+    for s in args.s:
         v, exact = gauss_valuation(f, s)
-        extra = ""
-        if not f.is_zero:
-            extra = f" argnorm={format_value(argnorm(f, s))}"
+        extra = "" if f.is_zero else f" argnorm={format_value(argnorm(f, s))}"
         lines.append(f"s={format_value(s)} value={format_value(v)} "
                      f"exact={'true' if exact else 'false'}{extra}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return _emit("\n".join(lines) + "\n", args.out)
 
 
 def _cmd_binop(args) -> int:
     f = _parse(args, args.left)
     g = _parse(args, args.right)
     if args.command == "add":
-        result = add(f, g)
-        _emit(format_series(result) + "\n", args.out)
-        return 0
+        return _emit(format_series(add(f, g)) + "\n", args.out)
     result, trace = mul(f, g)
-    if args.format == "json":
-        payload = {
-            "product": format_series(result),
-            "trace": [
-                {"i": format_value(i), "j": format_value(j), "k": format_value(k)}
-                for i, j, k in trace.entries
-            ],
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        _emit(format_series(result) + "\n", args.out)
-    return 0
+    if args.format == "text":
+        return _emit(format_series(result) + "\n", args.out)
+    payload = {
+        "product": format_series(result),
+        "trace": [
+            {"i": format_value(i), "j": format_value(j), "k": format_value(k)}
+            for i, j, k in trace.entries
+        ],
+    }
+    return _emit(json.dumps(payload, indent=2) + "\n", args.out)
 
 
 def _cmd_canon(args) -> int:
     if args.mode != "arithmetic":
-        raise MNSeriesError("canon applies to arithmetic-mode series")
-    _emit(format_series(_parse(args, args.series)) + "\n", args.out)  # the parse carried it
-    return 0
+        raise MNSeriesError("canon applies to arithmetic-mode series (--mode arithmetic)")
+    return _emit(format_series(_parse(args, args.series)) + "\n", args.out)  # the parse carried it
+
+
+def _in_mode(args, series):
+    """``series``, refused unless approx's domain gave it ``--mode``'s mode."""
+    if series.mode is not Mode(args.mode):
+        raise MNSeriesError(f"approx on the {series.domain.kind} domain builds "
+                            f"{series.mode.value} series, not --mode {args.mode}")
+    return series
 
 
 def _cmd_approx(args) -> int:
-    if args.target and args.mu:
-        raise MNSeriesError("approx takes --target nodes or --mu exponents, not both")
     domain = _domain_of(args)
     if args.target:
+        if args.depth is not None:
+            raise MNSeriesError("approx reads --depth with --mu only, not with --target")
         series, cert = discretely_approximate(args.target, domain)
-        _emit(certificate_text(cert) + "series: " + format_series(series) + "\n", args.out)
-        return 0
-    if args.mu:
-        chunks = []
-        for mu in args.mu:
-            profile = ProfileElement.for_exponent(mu, domain)
-            mat = materialize(profile, args.depth)
-            head = ", ".join(
-                f"q_{i}={format_value(profile.digit_exponent(i))}"
-                for i in range(1, min(args.depth, 6) + 1)
-            )
-            chunks.append(f"mu={format_value(Fraction(mu))} r={format_value(profile.r)} "
-                          f"depth={args.depth} {head}\nseries: {format_series(mat)}")
-        _emit("\n".join(chunks) + "\n", args.out)
-        return 0
-    raise MNSeriesError("approx needs --target nodes or --mu exponents")
+        return _emit(certificate_text(cert) + "series: "
+                     + format_series(_in_mode(args, series)) + "\n", args.out)
+    depth = 16 if args.depth is None else args.depth
+    chunks = []
+    for mu in args.mu:
+        profile = ProfileElement.for_exponent(mu, domain)
+        mat = _in_mode(args, materialize(profile, depth))
+        head = ", ".join(
+            f"q_{i}={format_value(profile.digit_exponent(i))}"
+            for i in range(1, min(depth, 6) + 1)
+        )
+        chunks.append(f"mu={format_value(Fraction(mu))} r={format_value(profile.r)} "
+                      f"depth={depth} {head}\nseries: {format_series(mat)}")
+    return _emit("\n".join(chunks) + "\n", args.out)
 
 
 def _cmd_chain(args) -> int:
-    if not args.mu:
-        raise MNSeriesError("chain needs at least one --mu exponent")
     report = chain_report(args.mu, depth=args.depth, domain=PerfectPoly(args.p, "p-power"))
     text = chain_report_json(report) if args.format == "json" else chain_report_text(report)
-    _emit(text, args.out)
-    return 0
+    return _emit(text, args.out)
 
 
 def _cmd_example_sup(args) -> int:
@@ -302,30 +318,10 @@ def _cmd_example_sup(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.suite == "all":
-        results = run_all(args.cases, args.seed)
-    else:
-        if args.suite not in suite_names():
-            raise MNSeriesError(
-                f"unknown suite {args.suite!r}; known: all, {', '.join(suite_names())}"
-            )
-        results = [run_suite(args.suite, args.cases, args.seed)]
+    names = suite_names() if args.suite == "all" else [args.suite]
+    results = [run_suite(name, args.cases, args.seed) for name in names]
     _emit(format_report(results), args.out)
     return 0 if all(r.passed for r in results) else 2
-
-
-_HANDLERS = {
-    "np": _cmd_np,
-    "leg": _cmd_leg,
-    "gauss": _cmd_gauss,
-    "mul": _cmd_binop,
-    "add": _cmd_binop,
-    "canon": _cmd_canon,
-    "approx": _cmd_approx,
-    "chain": _cmd_chain,
-    "example-sup": _cmd_example_sup,
-    "verify": _cmd_verify,
-}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -334,7 +330,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
         return 1 if exc.code else 0
     try:
-        return _HANDLERS[args.command](args)
+        return args.run(args)
     except (MNSeriesError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -71,10 +71,12 @@ def iroot(n: int, value: int) -> int:
     rounding error for roots under about 10^6 bits, so the steps shrink
     quadratically at once.  Floats only guess: unless ``x^n > value``
     certifies it, Newton starts from ``2^ceil(bits / n)``, up to twice the
-    root, where each step only shrinks by about ``1 - 1/n``.
+    root, where each step only shrinks by about ``1 - 1/n``.  n must be an
+    int >= 1 and value an int >= 0 (a bool is neither); else ValueError.
     """
-    if value < 0:
-        raise ValueError("iroot of a negative number")
+    n = _positive_integer(n, "root degree")
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"iroot needs an integer value >= 0, got {value!r}")
     if value == 0:
         return 0
     bits = value.bit_length()

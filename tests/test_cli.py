@@ -1,5 +1,6 @@
 """Command-line interface: commands, formats, exit codes, determinism."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -219,7 +220,7 @@ def test_approx_requires_input(capsys):
 def test_approx_rejects_targets_with_exponents(capsys):
     code, out, err = run(capsys, "approx", "--target", "1=1", "--mu", "1/2")
     assert code == 1 and out == ""
-    assert err == "error: approx takes --target nodes or --mu exponents, not both\n"
+    assert "argument --mu: not allowed with argument --target" in err
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -267,7 +268,7 @@ def test_verify_single_suite(capsys):
 
 def test_verify_unknown_suite(capsys):
     code, _, err = run(capsys, "verify", "nonsense")
-    assert code == 1 and "unknown suite" in err
+    assert code == 1 and "argument suite: invalid choice: 'nonsense'" in err
 
 
 def test_chain_json_out_file(tmp_path, capsys):
@@ -305,7 +306,7 @@ def test_usage_errors_exit_1_and_help_exits_0(capsys):
     code, _, _ = run(capsys)  # no command
     assert code == 1
     code, out, err = run(capsys, "add", "1", "1", "--format", "json")  # add prints text only
-    assert code == 1 and out == "" and "invalid choice: 'json'" in err
+    assert code == 1 and out == "" and "unrecognized arguments: --format json" in err
     code, out, err = run(capsys, "plot", "np", "x")  # not a command
     assert code == 1 and out == "" and "invalid choice: 'plot'" in err
     code, out, _ = run(capsys, "--help")
@@ -361,7 +362,7 @@ def test_successive_calls_share_no_parser_state(capsys):
     assert run(capsys, "leg", poly, "--p", "3", "--s", "1/2", "--s", "2")[0] == 0
     assert run(capsys, "leg", poly, "--p", "3", "--s", "3")[:2] == (0, "s=3 value=2\n")
     code, out, err = run(capsys, "leg", poly, "--p", "3")
-    assert (code, out, err) == (1, "", "error: at least one --s value is required\n")
+    assert (code, out) == (1, "") and "the following arguments are required: --s" in err
 
     assert run(capsys, "chain", "--mu", "1/4", "--mu", "1/2", "--depth", "8")[0] == 0
     code, out, _ = run(capsys, "chain", "--mu", "3/4", "--depth", "8", "--format", "json")
@@ -498,3 +499,152 @@ def test_chain_json_bytes_over_the_benchmark_exponents(capsys, p, depth, digest)
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# Evidence that a command reads an option: two argvs that differ only in
+# flags and print different stdout, neither turned away by argparse; or an
+# argv the command refuses, with exit 1, empty stdout and a stderr that
+# names the option.  A type error (`--seed x`) is neither.
+def differs(argv, a, b):
+    return ("differs", [*argv, *a], [*argv, *b])
+
+
+def refused(*argv):
+    return ("refused", list(argv))
+
+
+# flags that tell apart two runs of np, leg, gauss, mul and add on one literal
+SERIES_FLAGS = {
+    "--mode": ("2", [], ["--mode", "arithmetic"]),  # 2 is 0 in F_2 and p in Z_2
+    "--p": ("2", [], ["--p", "3"]),
+    "--domain": ("x*t", [], ["--domain", "padic"]),  # x needs a polynomial domain
+    "--denominators": ("x^{1/3}*t", [], ["--denominators", "p-power"]),
+}
+SERIES_ARGV = {
+    "np": lambda lit: ["np", lit],
+    "leg": lambda lit: ["leg", lit, "--s", "1"],
+    "gauss": lambda lit: ["gauss", lit, "--s", "1"],
+    "mul": lambda lit: ["mul", lit, "1"],
+    "add": lambda lit: ["add", lit, "0"],
+}
+POLY = "x^{2} + x*t + t^{2}"
+ARITH = ["--mode", "arithmetic"]
+
+# flags once dropped in silence: each input exited 0 with the bytes it printed without the flag
+SILENTLY_DROPPED = [
+    ("np", "--prec-N", refused("np", "x^{1/2} + t", "--prec-N", "5")),
+    ("canon", "--denominators", refused("canon", "3 + p", *ARITH, "--denominators", "p-power")),
+    ("approx", "--depth", refused("approx", "--target", "1=1", "--depth", "3")),
+    ("approx", "--mode",
+     refused("approx", "--mu", "1/2", "--depth", "3", "--domain", "mixed", "--mode", "formal")),
+    ("approx", "--mode", refused("approx", "--target", "1=1", "--domain", "perfect", *ARITH)),
+    ("gauss", "--format", refused("gauss", "x", "--s", "1", "--format", "text")),
+]
+
+EVIDENCE = [
+    *[(command, flag, differs(argv(lit), a, b))
+      for command, argv in SERIES_ARGV.items() for flag, (lit, a, b) in SERIES_FLAGS.items()],
+    # a polygon reads each coefficient mod p only, so N shows only as a refusal
+    ("np", "--prec-N", refused("np", "x", "--prec-N", "5")),
+    ("leg", "--prec-N", refused("leg", "x", "--s", "1", "--prec-N", "5")),
+    *[(command, "--prec-N", differs(SERIES_ARGV[command]("2"), ["--domain", "mixed"],
+                                    ["--domain", "mixed", "--prec-N", "1"]))
+      for command in ("gauss", "mul", "add")],
+    ("leg", "--s", differs(["leg", POLY, "--p", "3"], ["--s", "1/2"], ["--s", "1"])),
+    ("gauss", "--s", differs(["gauss", POLY, "--p", "3"], ["--s", "1/2"], ["--s", "1"])),
+    *[(command, "--format", differs(argv, [], ["--format", "json"]))
+      for command, argv in (("np", ["np", POLY]), ("leg", ["leg", POLY, "--s", "1"]),
+                            ("mul", ["mul", "1 + p", "1 + p", *ARITH]))],
+    ("canon", "--mode", differs(["canon", "2"], [], ARITH)),
+    ("canon", "--p", differs(["canon", "2", *ARITH], [], ["--p", "3"])),
+    ("canon", "--domain", differs(["canon", "x", *ARITH], [], ["--domain", "mixed"])),
+    ("canon", "--prec-N", differs(["canon", "p^{5} + 1", *ARITH], [], ["--prec-N", "2"])),
+    ("canon", "--denominators",
+     differs(["canon", "x^{1/3}", *ARITH, "--domain", "mixed"], [], ["--denominators", "p-power"])),
+    ("approx", "--target", differs(["approx"], ["--target", "1=1"], ["--target", "1=1/2"])),
+    ("approx", "--mu", differs(["approx"], ["--mu", "1/2"], ["--mu", "1/4"])),
+    ("approx", "--mu", refused("approx", "--target", "1=1", "--mu", "1/2")),
+    ("approx", "--depth", differs(["approx", "--mu", "1/2"], ["--depth", "3"], ["--depth", "4"])),
+    ("approx", "--mode", differs(["approx", "--mu", "1/2", "--domain", "mixed"], [], ARITH)),
+    ("approx", "--p", differs(["approx", "--mu", "1/2"], [], ["--p", "3"])),
+    ("approx", "--domain", differs(["approx", "--target", "1=1"], [], ["--domain", "padic"])),
+    ("approx", "--prec-N", differs(["approx", "--mu", "1/2", "--domain", "mixed", *ARITH],
+                                   [], ["--prec-N", "2"])),
+    ("approx", "--denominators", refused("approx", "--target", "1=1", "--domain", "padic", *ARITH,
+                                         "--denominators", "any")),
+    ("chain", "--mu", differs(["chain", "--depth", "8"], ["--mu", "1/2"], ["--mu", "1/4"])),
+    ("chain", "--depth", differs(["chain", "--mu", "1/2"], ["--depth", "8"], ["--depth", "9"])),
+    ("chain", "--p", differs(["chain", "--mu", "1/2", "--depth", "8"], [], ["--p", "3"])),
+    ("chain", "--format",
+     differs(["chain", "--mu", "1/2", "--depth", "8"], [], ["--format", "json"])),
+    ("example-sup", "--s", differs(["example-sup", "--depth", "3"], ["--s", "1"], ["--s", "2"])),
+    ("example-sup", "--depth", differs(["example-sup"], ["--depth", "3"], ["--depth", "4"])),
+    ("example-sup", "--format", differs(["example-sup", "--depth", "3"], [], ["--format", "csv"])),
+    ("verify", "--cases", differs(["verify", "roundtrip"], ["--cases", "2"], ["--cases", "3"])),
+    *SILENTLY_DROPPED,
+]
+
+
+def _options():
+    """(command, option) for every option of every subcommand, but -h and --out."""
+    parser = cli_module.build_parser()
+    [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {(command, action.option_strings[0])
+            for command, sub in commands.choices.items() for action in sub._actions
+            if action.option_strings and action.option_strings[0] not in ("-h", "--out")}
+
+
+def test_every_option_is_read_or_refused():
+    # verify --seed reaches no passing report's bytes: see test_verify_passes_its_seed_on
+    covered = {(command, flag) for command, flag, _ in EVIDENCE} | {("verify", "--seed")}
+    missing = _options() - covered
+    assert not missing, f"options with no evidence that they are read or refused: {sorted(missing)}"
+
+
+@pytest.mark.parametrize("command, flag, evidence", EVIDENCE,
+                         ids=[" ".join(e[-1]) for _, _, e in EVIDENCE])
+def test_option_evidence(capsys, command, flag, evidence):
+    kind, *argvs = evidence
+    assert all(argv[0] == command for argv in argvs)
+    assert any(flag in argv for argv in argvs)
+    if kind == "differs":
+        (code_a, out_a, err_a), (code_b, out_b, err_b) = (run(capsys, *argv) for argv in argvs)
+        assert not err_a.startswith("usage:") and not err_b.startswith("usage:")
+        assert out_a != out_b
+    else:
+        code, out, err = run(capsys, *argvs[0])
+        assert (code, out) == (1, "") and flag in err
+        # argparse may refuse the flag, but not its value
+        assert not err.startswith("usage:") or (
+            "unrecognized arguments" in err or "not allowed with argument" in err)
+
+
+@pytest.mark.parametrize("command, flag, evidence", SILENTLY_DROPPED,
+                         ids=[" ".join(e[1]) for _, _, e in SILENTLY_DROPPED])
+def test_flags_once_dropped_are_refused_with_their_name(capsys, command, flag, evidence):
+    code, out, err = run(capsys, *evidence[1])
+    assert (code, out) == (1, "") and flag in err
+    if flag == "--mode":  # approx names the mode its domain builds and the one asked for
+        assert "formal" in err and "arithmetic" in err
+
+
+def test_a_domain_flag_does_not_outlive_its_call(capsys):
+    argv = ["gauss", "2", "--s", "1", "--domain", "mixed"]
+    assert run(capsys, *argv, "--prec-N", "1") == (0, "s=1 value=+oo exact=true\n", "")
+    assert run(capsys, *argv) == (0, "s=1 value=1 exact=true argnorm=0\n", "")
+
+
+def test_verify_passes_its_seed_on(capsys, monkeypatch):
+    from mnseries.verify import SuiteResult
+
+    calls = []
+
+    def recorded(name, cases, seed):
+        calls.append((name, cases, seed))
+        return SuiteResult(name, cases, ())
+
+    monkeypatch.setattr(cli_module, "run_suite", recorded)
+    assert run(capsys, "verify", "roundtrip", "--cases", "3", "--seed", "7")[0] == 0
+    assert calls == [("roundtrip", 3, 7)]
+    assert run(capsys, "verify", "--seed", "11")[0] == 0
+    assert calls[1:] == [(name, 200, 11) for name in mnseries.verify.suite_names()]

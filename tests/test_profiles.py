@@ -73,6 +73,20 @@ def test_iroot():
         assert root**n <= b < (root + 1) ** n
 
 
+@pytest.mark.parametrize("n, value, message", [
+    (0, 5, "root degree must be an integer >= 1, got 0"),
+    (-1, 5, "root degree must be an integer >= 1, got -1"),
+    (2.0, 9, "root degree must be an integer >= 1, got 2.0"),
+    (True, 9, "root degree must be an integer >= 1, got True"),
+    (2, 9.0, "iroot needs an integer value >= 0, got 9.0"),
+    (2, True, "iroot needs an integer value >= 0, got True"),
+    (2, -4, "iroot needs an integer value >= 0, got -4"),
+])
+def test_iroot_rejects_what_is_not_a_degree_and_a_nonnegative_int(n, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        iroot(n, value)
+
+
 def test_inverse_legendre_half():
     c, r = inverse_legendre_power(Q(1, 2))
     assert (c, r) == (Q(1, 4), Q(1))

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import mnseries
+import mnseries.cli
 import mnseries.verify as verify_module
 from mnseries import (MixedPoly, PadicDigits, PerfectPoly, Series, format_report, run_all, run_suite,
                       suite_names)
@@ -93,6 +94,26 @@ def test_benchmark_seams_keep_their_names(monkeypatch):
     for name in ("materialize", "PerfectPoly"):
         assert callable(getattr(mnseries, name)), name
     assert callable(mnseries.ProfileElement.for_exponent)
+
+
+def test_benchmark_argv_pass_their_workload_checks(monkeypatch, capsys):
+    """Every workload's warm-up exits 0, and the first carry-mul and
+    profile-chain cycles at seed 0 and the first 22 verify-suites ops pass
+    their workload's own check, run through ``cli.main`` as the benchmark
+    runs them: a flag the CLI stops accepting shows here."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    state = {"mnseries": mnseries}
+    for name, count in (("carry-mul", None), ("profile-chain", None), ("verify-suites", 22)):
+        wl = workloads.REGISTRY[name]
+        code = mnseries.cli.main(list(wl.warmup))
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "") and out, name
+        for k in range(count or wl.cycle):
+            op = wl.make(0, k)
+            code = mnseries.cli.main(list(op["argv"]))
+            out, err = capsys.readouterr()
+            assert err == "" and wl.check(op, code, out, state), (name, op["argv"])
 
 
 @pytest.mark.parametrize("bad", [-3, 0, True, 2.0, "5"])

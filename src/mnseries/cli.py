@@ -13,9 +13,9 @@ Commands::
     verify      seeded property suites (exit 2 on failure)
 
 ``--prec-N`` is read by the padic and mixed domains (default 32) and
-``--denominators`` by the perfect and mixed ones (default any); a domain
-flag the chosen domain does not read exits 1.  ``--format`` exists only
-where a second format does.
+``--denominators`` by the perfect and mixed ones (default any), but not by
+``approx``; a domain flag the chosen domain or command does not read exits
+1.  ``--format`` exists only where a second format does.
 
 Exit codes: 0 success, 1 usage/parse/domain error, 2 property-suite failure.
 All randomness is seeded (default 0) and reports are byte-stable.
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -34,6 +33,7 @@ from typing import Optional, Sequence, Tuple
 from .domains import MixedPoly, PadicDigits, PerfectPoly
 from .errors import MNSeriesError
 from .export import (
+    _json_text,
     certificate_text,
     chain_report_json,
     chain_report_text,
@@ -220,7 +220,7 @@ def _emit_points(args, points, keys: Tuple[str, str], labels: Tuple[str, str],
         text = points_svg(points, *labels)
     elif args.format == "json":
         payload = [dict(zip(keys, map(format_value, point))) for point in points]
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _json_text(payload)
     else:
         lines = [prefix + " ".join(f"{k}={format_value(v)}" for k, v in zip(keys, point))
                  for point in points]
@@ -265,7 +265,7 @@ def _cmd_binop(args) -> int:
             for i, j, k in trace.entries
         ],
     }
-    return _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    return _emit(_json_text(payload), args.out)
 
 
 def _cmd_canon(args) -> int:
@@ -283,6 +283,9 @@ def _in_mode(args, series):
 
 
 def _cmd_approx(args) -> int:
+    # every digit approx builds has an exponent m/p^k, which both lattices hold
+    if "denominators" in args.given:
+        raise MNSeriesError("approx does not read --denominators")
     domain = _domain_of(args)
     if args.target:
         if args.depth is not None:

@@ -28,6 +28,11 @@ __all__ = [
 CSV_HEADER = "x,y,num_x,den_x,num_y,den_y"
 
 
+def _json_text(payload) -> str:
+    """The one JSON writer: sorted keys, a two-space indent, a final newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def points_csv(points: Sequence[Tuple[Fraction, Fraction]]) -> str:
     lines = [CSV_HEADER]
     for x, y in points:
@@ -131,7 +136,7 @@ def chain_report_json(report: ChainReport) -> str:
         "all_separated": report.all_separated,
         "all_in_ideal": report.all_in_ideal,
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return _json_text(payload)
 
 
 def certificate_text(cert: ApproxCertificate) -> str:

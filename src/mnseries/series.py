@@ -41,6 +41,7 @@ __all__ = [
     "box_witness",
     "bar_witness",
     "localize",
+    "term_values",
 ]
 
 

@@ -539,6 +539,11 @@ SILENTLY_DROPPED = [
      refused("approx", "--mu", "1/2", "--depth", "3", "--domain", "mixed", "--mode", "formal")),
     ("approx", "--mode", refused("approx", "--target", "1=1", "--domain", "perfect", *ARITH)),
     ("gauss", "--format", refused("gauss", "x", "--s", "1", "--format", "text")),
+    # every digit approx builds has an exponent m/p^k, which both lattices hold
+    ("approx", "--denominators",
+     refused("approx", "--target", "1=1/3", "--target", "2=1/7", "--denominators", "p-power")),
+    ("approx", "--denominators", refused("approx", "--mu", "1/3", "--domain", "mixed", *ARITH,
+                                         "--denominators", "p-power")),
 ]
 
 EVIDENCE = [

@@ -1,5 +1,6 @@
 """Property-suite runner: coverage, determinism, report format."""
 
+import ast
 import hashlib
 import importlib
 import json
@@ -116,6 +117,16 @@ def test_benchmark_argv_pass_their_workload_checks(monkeypatch, capsys):
             assert err == "" and wl.check(op, code, out, state), (name, op["argv"])
 
 
+def test_public_names_are_declared_where_they_are_defined():
+    # the package imports each public name from the module that defines it
+    tree = ast.parse(Path(mnseries.__file__).read_text(encoding="utf-8"))
+    source = {alias.name: node.module for node in tree.body if isinstance(node, ast.ImportFrom)
+              for alias in node.names}
+    for name in mnseries.__all__:
+        module = importlib.import_module(f"mnseries.{source[name]}")
+        assert name in getattr(module, "__all__", [name]), f"{name} not in {module.__name__}.__all__"
+
+
 @pytest.mark.parametrize("bad", [-3, 0, True, 2.0, "5"])
 def test_case_count_must_be_a_positive_int(bad):
     with pytest.raises(ValueError, match=f"^the case count must be an int >= 1, got {bad!r}$"):
@@ -153,3 +164,51 @@ def test_generator_draws_are_pinned():
                   repr(verify_module._sample_s(rng)), repr(verify_module._sample_s(rng, 3))]
     digest = hashlib.sha256("\n".join(drawn).encode("utf-8")).hexdigest()
     assert digest == "2394b51b9bfb422d09e76e6b513ffda8c625abb70a3606b552075fad99343c0e"
+
+
+def test_suite_draws_are_pinned(monkeypatch):
+    # each suite's own draws move its generator; a passing report prints only counts, so read
+    # the generator's next draw after each suite's run
+    made = []
+
+    class Recording(random.Random):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(random, "Random", Recording)
+    lines = []
+    for name in suite_names():
+        made.clear()
+        run_suite(name, 15, 0)
+        [rng] = made
+        lines.append(f"{name} {rng.random()!r}")
+    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    assert digest == "5b237c4ce0e3465596f480de78564f3eb2d9afd61a7fff50b95b0bcbc8956681"
+
+
+def test_fault_witnesses_are_pinned(monkeypatch):
+    # every witness, not only the five a report prints, under products that lose their last term
+    mul = verify_module.mul
+
+    def dropped(f, g):
+        fg, trace = mul(f, g)
+        return Series(fg.domain, fg.mode, fg.terms[:-1], fg.prec), trace
+
+    monkeypatch.setattr(verify_module, "mul", dropped)
+    witnesses = [f"{r.name} {w}" for r in run_all(60, 3) for w in r.failures]
+    assert len(witnesses) == 71
+    digest = hashlib.sha256("\n".join(witnesses).encode("utf-8")).hexdigest()
+    assert digest == "7a25dd86f26d70415eb65b46756129b9037de52974a23b674bf955473265452b"
+
+
+def test_fixed_checks_report_as_case_minus_one(monkeypatch):
+    monkeypatch.setattr(verify_module, "in_m", lambda f: True)
+    assert run_suite("ideal", 6, 0).failures == ("case=-1 kind=unit-digit",)
+    chain_report = verify_module.chain_report
+
+    def paired(grid, depth):  # a one-exponent grid reports a pair with half its exponent
+        return chain_report([grid[0] / 2, *grid] if len(grid) == 1 else grid, depth=depth)
+
+    monkeypatch.setattr(verify_module, "chain_report", paired)
+    assert run_suite("chain", 40, 0).failures == ("case=-1 kind=singleton-grid",)

@@ -6,11 +6,22 @@ schema is ``x,y,num_x,den_x,num_y,den_y``.  SVG output is a static
 polyline with axis labels; its coordinates are floating-point
 approximations, flagged in a header comment.  All emitters are
 byte-stable for fixed input.
+
+Every JSON payload goes through one writer, :func:`_json_text`.  It prints
+the bytes of ``json.dumps(payload, indent=2, sort_keys=True)`` and a final
+newline, for the plain types the CLI builds: dict (str keys only), list and
+tuple, str, int, bool, None and float (``NaN`` and ``Infinity`` as the
+standard library spells them).  Anything else, a Fraction or a set or a
+non-str key, raises ``TypeError``.  The standard library's C encoder takes
+no indent, so ``json.dumps`` with one runs its pure-Python encoder, a chain
+of generators; this writer appends to one list instead and escapes strings
+with the C escaper that ``json.dumps`` itself uses.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
@@ -26,11 +37,57 @@ __all__ = [
 ]
 
 CSV_HEADER = "x,y,num_x,den_x,num_y,den_y"
+_escape = json.encoder.encode_basestring_ascii  # the C escaper, as json.dumps uses
+_JSON_WORDS = {None: "null", True: "true", False: "false"}
 
 
 def _json_text(payload) -> str:
     """The one JSON writer: sorted keys, a two-space indent, a final newline."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    out: List[str] = []
+    _json_write(payload, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _json_write(o, out: List[str], nl: str) -> None:
+    """Append the JSON of ``o`` to ``out``; ``nl`` is a newline and the indent
+    of the line ``o`` starts on.  The type checks run in the standard
+    library encoder's order, so a bool prints as ``true``, not as an int."""
+    if isinstance(o, str):
+        out.append(_escape(o))
+    elif o is None or o is True or o is False:
+        out.append(_JSON_WORDS[o])
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        out.append(float.__repr__(o) if math.isfinite(o)
+                   else "NaN" if o != o else "Infinity" if o > 0 else "-Infinity")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for item in o:
+            out.append(sep)
+            _json_write(item, out, inner)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        if not all(isinstance(key, str) for key in o):
+            raise TypeError("JSON object keys must be str")
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(o):
+            out.append(sep + _escape(key) + ": ")
+            _json_write(o[key], out, inner)
+            sep = "," + inner
+        out.append(nl + "}")
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def points_csv(points: Sequence[Tuple[Fraction, Fraction]]) -> str:

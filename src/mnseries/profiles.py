@@ -325,28 +325,47 @@ class ProfileElement:
         certifies its float guess both ways, and each later index starts
         from the k before it and only steps up (k - 1 already failed at a
         smaller index).  What does not depend on n is computed once.
+
+        The one big division, by ``v^b``, is taken once per k, not once per
+        index.  With ``N_k = 2^b u^b d^(2b+a) p^(kb)``,
+        ``(2 tau p^k)^b d^(2b) = N_k / (v^b n^a)``.  The stream keeps
+        ``(Y, R) = divmod(N_k, v^b)``.  A step up multiplies N_k by p^b, so
+        ``(q, R') = divmod(R p^b, v^b)`` gives ``Y' = Y p^b + q``; a step
+        down at the first index, where p^b divides N_k, gives
+        ``(Y', s) = divmod(Y, p^b)`` and ``R' = (s v^b + R) / p^b``, exactly.
+        Every test reads Y through ``floor(floor(x) / m) = floor(x / m)``, for
+        a real x >= 0 and an int m >= 1.  Proof: with ``floor(x) = t m + s``,
+        ``0 <= s < m``, ``t m <= x < t m + s + 1 <= (t + 1) m``, so
+        ``floor(x / m) = t``.
+
+        - m: ``W = floor((2 tau p^k)^b) = floor(N_k / (v^b n^a d^(2b)))`` is
+          ``Y // (d^(2b) n^a)``, and m is the largest m with ``(2m - 1)^b <= W``.
+        - k: k is enough when ``tau p^k >= 2^G i^2`` (G = GUARD_BITS); to the
+          b-th power, times ``2^b d^(2b)``, that is
+          ``N_k / v^b >= n^(a+2b) 2^(Gb) 2^b``.  The right side is an int, so
+          the left may be floored to Y, and for ints ``Y >= Z 2^b`` exactly
+          when ``Y >> b >= Z``: the test is ``Y >> b >= n^(a+2b) << Gb``.  At
+          k - 1 the quotient is ``floor(N_k / (p^b v^b)) = Y // p^b``.
         """
         a, b, ub, vb, step, ln_p, ln_c, r_float = self._rule
-        # With i = n/d, (tau p^k)^b d^(2b) = rhs_k / Q for rhs_k = ub d^(2b+a) p^(kb)
-        # and Q = vb n^a.  k is enough when (2^G n^2)^b <= floor(rhs_k / Q), that is
-        # when rhs_k >= Q n^(2b) 2^(Gb); the stream keeps 2^b rhs_k, so m reads
-        # W = floor((2 tau p^k)^b) = floor(2^b rhs_k / Q) // d^(2b) directly.
-        d2b, ln_d, shift = d ** (2 * b), math.log(d), (GUARD_BITS + 1) * b
+        d2b, ln_d, gb = d ** (2 * b), math.log(d), GUARD_BITS * b
         ln_i = math.log(start) - ln_d
         k = max(0, math.ceil((GUARD_BITS * _LN2 - ln_c + (2 + r_float) * ln_i) / ln_p))
-        twice_rhs = ub * d ** (2 * b + a) * step**k << b
-        need = vb * start ** (a + 2 * b) << shift
-        while k and twice_rhs // step >= need:
+        Y, R = divmod(ub * d ** (2 * b + a) * step**k << b, vb)
+        need = start ** (a + 2 * b) << gb
+        while k and Y // step >> b >= need:
             k -= 1
-            twice_rhs //= step
+            Y, s = divmod(Y, step)
+            R = (s * vb + R) // step
         digits = []
         for n in range(start, stop):
-            Q = vb * n**a
-            need = Q * n ** (2 * b) << shift
-            while twice_rhs < need:
+            na = n**a
+            need = na * n ** (2 * b) << gb
+            while Y >> b < need:
                 k += 1
-                twice_rhs *= step
-            W = twice_rhs // Q // d2b
+                q, R = divmod(R * step, vb)
+                Y = Y * step + q
+            W = Y // (d2b * na)
             # m is the largest m with (2m - 1)^b <= W
             ln_m = ln_c + k * ln_p - r_float * (math.log(n) - ln_d)
             m = int(math.exp(ln_m) + 0.5) if ln_m < _FLOAT_GUESS_MAX else (iroot(b, W) + 1) // 2
@@ -617,6 +636,7 @@ def chain_report(
     dom = domain if domain is not None else PerfectPoly(2, "p-power")
     p, s_min = dom.p, min(RATIO_GRID)
     sn, sd = s_min.numerator, s_min.denominator
+    samples = [(s, float(s)) for s in RATIO_GRID]
 
     pairs, membership, ratios = [], [], []
     for idx, mu in enumerate(grid):
@@ -642,10 +662,12 @@ def chain_report(
         K = digits[-1][1]  # k never falls: every q_i = m / p^k on the denominator p^K
         poly = lower_hull(IndexPoints([m * p ** (K - k) for m, k in digits], p**K))
         membership.append((mu, poly.y_last > 0))
-        c_norm = float(law.coeff)
-        rows = tuple((s, float(legendre_eval(poly, s)) / (c_norm * float(s) ** float(mu)))
-                     for s in RATIO_GRID)
-        ratios.append((mu, rows))
+        c_norm, mu_f = float(law.coeff), float(mu)
+        rows = []
+        for s, s_f in samples:
+            L = legendre_eval(poly, s)  # float(L) is this same division
+            rows.append((s, L.numerator / L.denominator / (c_norm * s_f**mu_f)))
+        ratios.append((mu, tuple(rows)))
 
     return ChainReport(tuple(grid), depth, tuple(pairs), tuple(membership), tuple(ratios))
 

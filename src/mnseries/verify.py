@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
-from .domains import MixedPoly, PadicDigits, PerfectPoly
-from .grammar import format_series, parse_series
+from .domains import MixedPoly, PadicDigits, PerfectPoly, XPoly
+from .grammar import _format_coefficient, format_series, parse_series
 from .polygon import (
     legendre_eval,
     lower_hull,
@@ -162,8 +162,23 @@ def _setups(rng: random.Random):
     ]
 
 
+def _literal(v, nested: bool = False) -> str:
+    """A witness value in the CLI's literal form: a Fraction as ``num/den``, a
+    coefficient as the series grammar prints it, a list or tuple element by
+    element; anything else as ``str``, or inside a list or tuple as ``repr``."""
+    if isinstance(v, Fraction):
+        return format_value(v)
+    if isinstance(v, XPoly):
+        return _format_coefficient(v.monomials, parenthesize=False) or "0"
+    if isinstance(v, list):
+        return "[" + ", ".join(_literal(x, True) for x in v) + "]"
+    if isinstance(v, tuple):
+        return "(" + ", ".join(_literal(x, True) for x in v) + ("," if len(v) == 1 else "") + ")"
+    return repr(v) if nested else str(v)
+
+
 def _witness(case: int, **parts) -> str:
-    body = " ".join(f"{k}={v}" for k, v in parts.items())
+    body = " ".join(f"{k}={_literal(v)}" for k, v in parts.items())
     return f"case={case} {body}"
 
 
@@ -519,7 +534,7 @@ def _suite_classifier(rng: random.Random, case: int) -> Check:
     fh = classify(laws[0], laws[2]).verdict
     expected = _COMPOSE.get((fg, gh))
     if expected is not None and fh != expected:
-        yield dict(exps=[str(l.exponent) for l in laws], fg=fg, gh=gh, fh=fh)
+        yield dict(exps=[l.exponent for l in laws], fg=fg, gh=gh, fh=fh)
 
 
 def _chain_singleton() -> Check:

@@ -491,6 +491,8 @@ BENCH_MUS = sorted({Fraction(n, d) for d in (4, 8, 12, 16) for n in range(1, d)}
     (2, 1024, "7906ef768b27ad8e72a50fcc264ebe920ec85c2b964465d38d0d4c306b619952"),
     (3, 128, "51d6ebb60438a76325f21a7234f67524b4ed3134da5bc4510db94456c0fa07dc"),
     (3, 1024, "9a4fea0d38d82a7284b649d1e1fa4c07d5b4a27bb3f1fb4fd26d09b1cf65e30b"),
+    (5, 128, "aeeda40dbb78a2ba97b90492c64b6fd2de7b264fdcf30bfc47e996e35164b922"),
+    (5, 1024, "6ab7368bab2bf78a3f526e0cd41a0f9070310c0dd4db9dc6d579392e090d01b5"),
 ])
 def test_chain_json_bytes_over_the_benchmark_exponents(capsys, p, depth, digest):
     # one grid of all 23 exponents the profile-chain benchmark draws

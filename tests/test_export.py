@@ -4,9 +4,12 @@ import json
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mnseries import PerfectPoly, chain_report, discretely_approximate
 from mnseries.export import (
+    _json_text,
     certificate_text,
     chain_report_json,
     chain_report_text,
@@ -68,3 +71,37 @@ def test_chain_report_serializations_agree():
     assert [m["in_m"] for m in payload["membership"]] == [True, True]
     ratios = payload["ratios"][0]["samples"]
     assert len(ratios) == 7 and all(r["ratio"] > 0 for r in ratios)
+
+
+# --- the one JSON writer prints json.dumps' bytes ------------------------------
+
+_json_scalars = st.one_of(
+    st.text(),  # non-ASCII, quotes, backslashes and control characters among them
+    st.sampled_from(["", '"', "\\", "\x00\x1f\x7f", "\u00e9\u2028\U0001f600", "\ud800"]),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.floats(),  # nan and the infinities among them
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, float("nan"), float("inf"), float("-inf")]),
+)
+_json_payloads = st.recursive(
+    _json_scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=24,
+)
+
+
+@given(_json_payloads)
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_json_text_prints_the_bytes_of_json_dumps(payload):
+    assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("payload", [
+    Q(1, 2), {"x": [Q(1, 3)]}, {1, 2}, [{"a": frozenset()}], {1: "a"}, {"a": 1, 2: "b"}, b"x",
+])
+def test_json_text_refuses_what_is_not_a_plain_type(payload):
+    with pytest.raises(TypeError):
+        _json_text(payload)

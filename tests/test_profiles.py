@@ -540,6 +540,60 @@ def test_digit_stream_equals_the_per_index_rule(p):
                 assert profile._digits(d, n, stop) == stream[n - d:], (mu, d, n)
 
 
+def per_index_division_digits(profile, d, start, stop):
+    """The stream as it was before the one division per k: it keeps
+    ``2^b u^b d^(2b+a) p^(kb)`` and divides it by ``v^b n^a`` at every index."""
+    a, b, ub, vb, step, ln_p, ln_c, r_float = profile._rule
+    d2b, ln_d, shift = d ** (2 * b), math.log(d), (profiles_module.GUARD_BITS + 1) * b
+    ln_i = math.log(start) - ln_d
+    k = max(0, math.ceil((12 * math.log(2) - ln_c + (2 + r_float) * ln_i) / ln_p))
+    twice_rhs = ub * d ** (2 * b + a) * step**k << b
+    need = vb * start ** (a + 2 * b) << shift
+    while k and twice_rhs // step >= need:
+        k -= 1
+        twice_rhs //= step
+    digits = []
+    for n in range(start, stop):
+        Qn = vb * n**a
+        need = Qn * n ** (2 * b) << shift
+        while twice_rhs < need:
+            k += 1
+            twice_rhs *= step
+        W = twice_rhs // Qn // d2b
+        ln_m = ln_c + k * ln_p - r_float * (math.log(n) - ln_d)
+        m = int(math.exp(ln_m) + 0.5) if ln_m < 40 * math.log(2) else (iroot(b, W) + 1) // 2
+        while (2 * m + 1) ** b <= W:
+            m += 1
+        while (2 * m - 1) ** b > W:
+            m -= 1
+        digits.append((m, k))
+    return digits
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_one_division_per_k_gives_the_per_index_division(p):
+    # floor(floor(x) / m) = floor(x / m): every (m, k) of the stream is the one
+    # the per-index division gave, from the start and at one-index reads far out
+    dom = PerfectPoly(p, "p-power")
+    ranges = 0
+    for mu in MU_UNIVERSE + [Q(1, 100), Q(1, 50), Q(1, 200), Q(99, 100)]:
+        profile = ProfileElement.for_exponent(mu, dom)
+        for d in (1, p, p * p):
+            for start, stop in ((d, d + 64), (1023, 1024), (5000, 5001)):
+                assert profile._digits(d, start, stop) == per_index_division_digits(
+                    profile, d, start, stop), (mu, d, start)
+                ranges += 1
+    assert ranges == 27 * 3 * 3
+
+
+def test_the_remainder_decides_k_at_a_tight_index():
+    # c = 116509/12, r = 1, i = 4/3: tau = 7281.8125 just meets 2^12 i^2 = 7281.78 at
+    # k = 0; a quotient floor(2^b u^b d^a p^(kb) / v^b) scaled by d^(2b) after the
+    # division, which drops the remainder's share, would step k to 1
+    profile = ProfileElement(PerfectPoly(3, "p-power"), Q(116509, 12), Q(1))
+    assert profile._digits(3, 4, 5) == per_index_division_digits(profile, 3, 4, 5) == [(7282, 0)]
+
+
 def test_digit_exponent_rounds_exact_ties_half_up():
     # mu = 1/2: c = 1/4 and r = 1, so tau = d / (4 n) at i = n/d, and tau p^k is
     # a half-integer at i = 2^14 / d (d odd, 13005 <= d < 2^14) for p = 2 and at
@@ -921,19 +975,27 @@ def test_discrete_approximation_negative_index_fails_at_once():
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_digit_certificates_correct_k_guesses_up_and_down(p, monkeypatch):
     # ln c shifted by j ln p moves the float guess for k by -j, so the exact
-    # certificate must step k up (j > 0) or down (j < 0) to the true value;
-    # with no float guess for m, every m starts from iroot
+    # certificate must step k up (j > 0) or down (j < 0) to the true value, and
+    # a stream must go on from there; with no float guess for m, every m starts
+    # from iroot.  The last profile's tau = 110592 / i meets 2^12 i^2 exactly at
+    # i = 3, where k = 0 is enough
     dom = PerfectPoly(p, "p-power")
-    indices = [1, 2, 7, 100, 1023, Q(2 * p + 1, p), Q(10**6 + 1, p**3),
+    indices = [1, 2, 3, 7, 100, 1023, Q(2 * p + 1, p), Q(10**6 + 1, p**3),
                2**53 + 1, 10**30, Q(10**40 + 1, p**2)]
     profiles = [ProfileElement.for_exponent(mu, dom)
                 for mu in (Q(1, 16), Q(1, 3), Q(1, 2), Q(2, 3), Q(15, 16))]
+    profiles.append(ProfileElement(dom, Q(110592), Q(1)))
+    assert profiles[-1].digit_exponent(3) == Q(36864) == reference_digit_exponent(profiles[-1], 3)
     want = {(j, i): prof.digit_exponent(i) for j, prof in enumerate(profiles) for i in indices}
+    streams = [prof._digits(d, d, 65 * d) for prof in profiles for d in (1, p)]
     monkeypatch.setattr(profiles_module, "_FLOAT_GUESS_MAX", -math.inf)
     for shift in (-2, -1, 1, 2):
+        twins = []
         for j, prof in enumerate(profiles):
             rule = prof._rule
             twin = ProfileElement(dom, prof.c, prof.r)
             object.__setattr__(twin, "_rule", rule._replace(ln_c=rule.ln_c + shift * rule.ln_p))
+            twins.append(twin)
             for i in indices:
                 assert twin.digit_exponent(i) == want[j, i], (prof.mu, i, shift)
+        assert [twin._digits(d, d, 65 * d) for twin in twins for d in (1, p)] == streams, shift

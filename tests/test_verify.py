@@ -5,6 +5,7 @@ import hashlib
 import importlib
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,8 +13,8 @@ import pytest
 import mnseries
 import mnseries.cli
 import mnseries.verify as verify_module
-from mnseries import (MixedPoly, PadicDigits, PerfectPoly, Series, format_report, run_all, run_suite,
-                      suite_names)
+from mnseries import (MixedPoly, PadicDigits, PerfectPoly, Series, XPoly, format_report, run_all,
+                      run_suite, suite_names)
 
 
 def test_every_registered_suite_passes_briefly():
@@ -200,6 +201,31 @@ def test_fault_witnesses_are_pinned(monkeypatch):
     assert len(witnesses) == 71
     digest = hashlib.sha256("\n".join(witnesses).encode("utf-8")).hexdigest()
     assert digest == "7a25dd86f26d70415eb65b46756129b9037de52974a23b674bf955473265452b"
+
+
+def test_witnesses_print_inputs_in_the_cli_literal_form(monkeypatch):
+    # a grid prints as the exponents `chain --mu` takes, a coefficient as the grammar writes it
+    chain_report = verify_module.chain_report
+    monkeypatch.setattr(verify_module, "chain_report",
+                        lambda grid, depth: chain_report(grid[:-1], depth=depth))
+    assert run_suite("chain", 40, 0).failures == (
+        "case=0 grid=[1/6, 1/2, 3/4, 11/12] kind=pair-count",)
+    mul = PerfectPoly.mul
+    monkeypatch.setattr(PerfectPoly, "mul", lambda self, a, b: XPoly(mul(self, a, b).monomials[1:]))
+    failures = run_suite("base-valuations", 4, 0).failures
+    assert failures[:4] == (
+        "case=0 law=perfect-multiplicative a=x + 2*x^{31/9} b=2*x + 2*x^{2}",
+        "case=0 law=reduction-homomorphism a=8 + 8*x b=5 + x^{8/3}",
+        "case=1 law=perfect-multiplicative a=x^{13/4} b=x^{4}",
+        "case=1 law=reduction-homomorphism a=x^{5/2} b=3*x^{5/2}",
+    )
+
+
+def test_witness_values_print_element_by_element():
+    witness = verify_module._witness
+    assert witness(2, pts=[(Fraction(0), Fraction(5, 2))], s=(Fraction(1, 3),), n=7) == (
+        "case=2 pts=[(0, 5/2)] s=(1/3,) n=7")
+    assert witness(0, a=XPoly(()), kind="bound", tags=["x", 1]) == "case=0 a=0 kind=bound tags=['x', 1]"
 
 
 def test_fixed_checks_report_as_case_minus_one(monkeypatch):

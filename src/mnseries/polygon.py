@@ -242,17 +242,42 @@ def legendre_eval(F: PLConvexFn, s) -> Fraction:
     polygon's integer coordinates: with ``x = X/dx``, ``y = Y/dy`` and
     ``s = sn/sd``, a step is >= 0 when ``(Y' - Y)*dx*sd + sn*dy*(X' - X)``
     is.  The value at the node found, ``(Y*dx*sd + sn*dy*X) / (dy*dx*sd)``,
-    is the one Fraction built.
+    is the one Fraction built.  The search and the value are the private
+    kernel :func:`_legendre_node`, with which the chain reports of
+    :mod:`mnseries.profiles` also sample their polygons.
     """
     s = as_gauss_param(s)
-    xs, ys, dx, dy = F._scaled
-    a, b = dx * s.denominator, s.numerator * dy
+    _, num, den = _legendre_node(F._scaled, s.numerator, s.denominator)
+    return Fraction(num, den)
+
+
+def _legendre_node(scaled: _Scaled, sn: int, sd: int, lo: int = 0) -> Tuple[int, int, int]:
+    """``(k, num, den)``: the node k where ``y + s*x`` is least, for
+    ``s = sn/sd >= 0``, and that least value ``num/den``, in integers.
+
+    k is the first node whose next step is >= 0 (the last node if none
+    is), found by binary search over the nodes from ``lo`` on; every step
+    before ``lo`` must be < 0 at s.  Then the search finds the node a
+    search from the first node finds.  Proof: the step from node j is
+    ``(x' - x) * (slope_j + s)`` with ``x' > x``, and the slopes never
+    fall, so the steps' signs run < 0, ..., < 0, >= 0, ...; the first
+    step >= 0 is at or past ``lo``, and a bisection over that monotone
+    run from ``lo`` finds it.  The k found at one s is a valid ``lo`` at
+    any smaller s' >= 0: each step before k had ``slope_j + s < 0``, so
+    ``slope_j + s' < 0`` too, and k never moves left as s falls.  The
+    value is returned unreduced: ``num / den``, a true division of ints,
+    is the correctly rounded quotient, the same float as
+    ``float(Fraction(num, den))``.
+    """
+    xs, ys, dx, dy = scaled
+    a, b = dx * sd, sn * dy
     k = bisect_left(
         range(len(xs) - 1),
         True,
+        lo,
         key=lambda j: (ys[j + 1] - ys[j]) * a + b * (xs[j + 1] - xs[j]) >= 0,
     )
-    return Fraction(ys[k] * a + b * xs[k], dy * a)
+    return k, ys[k] * a + b * xs[k], dy * a
 
 
 def tropical_min(F: Callable[[Fraction], Value], G: Callable[[Fraction], Value]):

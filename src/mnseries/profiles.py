@@ -27,7 +27,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .domains import CoefficientDomain, PadicDigits, PerfectPoly, _p_power_denominator
 from .errors import MNSeriesError
-from .polygon import IndexPoints, legendre_eval, lower_hull
+from .polygon import IndexPoints, _legendre_node, lower_hull
 from .series import Mode, Series, _assemble, _carry
 from .values import _exact
 
@@ -262,9 +262,10 @@ class ProfileElement:
     denominators powers of p.  The index may be any rational i >= 1, such
     as the points ``n / p^j`` of a refined lattice (see :func:`materialize`);
     the rule is the same and every digit is decided by exact integer
-    comparisons.  The rule runs as one stream over a run of indices
-    ``n/d`` (``_digits``), which :meth:`digit_exponent`,
-    :func:`materialize` and :func:`chain_report` all read.  Its
+    comparisons.  The rule runs only as a resumable stream over the
+    indices ``n/d`` (``_DigitStream``): :meth:`digit_exponent` and
+    :func:`materialize` each make one read of a fresh stream, and
+    :func:`chain_report` reads each profile through two.  Its
     profile-wide integers (``u^b``, ``v^b``, ``p^b``) and logarithms are
     computed once, at construction, into a field that takes no part in
     ``==``, ``hash`` or ``repr``.  ``c`` and
@@ -313,47 +314,78 @@ class ProfileElement:
         return Fraction(m, self.domain.p**k)
 
     def _digits(self, d: int, start: int, stop: int) -> List[Tuple[int, int]]:
-        """The digit rule on integers: ``(m, k)`` at each index ``i = n/d``, ``start <= n < stop``.
+        """``(m, k)`` at each index ``n/d``, ``start <= n < stop``: one read of a fresh stream."""
+        return _DigitStream(self, d, start).read(start, stop)
 
-        The indices must be at least 1 (``start >= d``), in any terms.  k is
-        the least k >= 0 with ``p^-k <= tau / (2^GUARD_BITS i^2)``, and m is
-        ``tau p^k`` rounded to the nearest integer, half up.  Floats only
-        guess k and m, from logarithms of the integers (which never
-        overflow); exact integer comparisons then move each guess to the
-        true value, so every digit is exact.  The bound on ``p^-k`` shrinks
-        as n grows, so k never falls along the stream: the first index
-        certifies its float guess both ways, and each later index starts
-        from the k before it and only steps up (k - 1 already failed at a
-        smaller index).  What does not depend on n is computed once.
 
-        The one big division, by ``v^b``, is taken once per k, not once per
-        index.  With ``N_k = 2^b u^b d^(2b+a) p^(kb)``,
-        ``(2 tau p^k)^b d^(2b) = N_k / (v^b n^a)``.  The stream keeps
-        ``(Y, R) = divmod(N_k, v^b)``.  A step up multiplies N_k by p^b, so
-        ``(q, R') = divmod(R p^b, v^b)`` gives ``Y' = Y p^b + q``; a step
-        down at the first index, where p^b divides N_k, gives
-        ``(Y', s) = divmod(Y, p^b)`` and ``R' = (s v^b + R) / p^b``, exactly.
-        Every test reads Y through ``floor(floor(x) / m) = floor(x / m)``, for
-        a real x >= 0 and an int m >= 1.  Proof: with ``floor(x) = t m + s``,
-        ``0 <= s < m``, ``t m <= x < t m + s + 1 <= (t + 1) m``, so
-        ``floor(x / m) = t``.
+class _DigitStream:
+    """The digit rule on integers, as a stream over the indices ``i = n/d``
+    of one profile that keeps the rule's state ``(k, Y, R)`` between reads.
 
-        - m: ``W = floor((2 tau p^k)^b) = floor(N_k / (v^b n^a d^(2b)))`` is
-          ``Y // (d^(2b) n^a)``, and m is the largest m with ``(2m - 1)^b <= W``.
-        - k: k is enough when ``tau p^k >= 2^G i^2`` (G = GUARD_BITS); to the
-          b-th power, times ``2^b d^(2b)``, that is
-          ``N_k / v^b >= n^(a+2b) 2^(Gb) 2^b``.  The right side is an int, so
-          the left may be floored to Y, and for ints ``Y >= Z 2^b`` exactly
-          when ``Y >> b >= Z``: the test is ``Y >> b >= n^(a+2b) << Gb``.  At
-          k - 1 the quotient is ``floor(N_k / (p^b v^b)) = Y // p^b``.
-        """
-        a, b, ub, vb, step, ln_p, ln_c, r_float = self._rule
-        d2b, ln_d, gb = d ** (2 * b), math.log(d), GUARD_BITS * b
-        ln_i = math.log(start) - ln_d
+    k is the least k >= 0 with ``p^-k <= tau / (2^GUARD_BITS i^2)``, and m
+    is ``tau p^k`` rounded to the nearest integer, half up.  Floats only
+    guess k and m, from logarithms of the integers (which never overflow);
+    exact integer comparisons then move each guess to the true value, so
+    every digit is exact.  k is placed from its float guess once, when the
+    stream is made at a first index; a read may then start at any index
+    >= 1 (``start >= d``), after the last one read or before it.  The test
+    for k holds at k + 1 whenever it holds at k, so stepping k down while
+    k - 1 passes and up while k fails gives the least k from any start.
+    The bound on ``p^-k`` shrinks as n grows, so k never falls inside a
+    read: only its first index certifies k both ways, and each later index
+    starts from the k before it and only steps up.  A stream read forward
+    in runs therefore steps k up only, and one read back one index at a
+    time steps it down only.
+
+    The one big division, by ``v^b``, is taken once per step up of k, never
+    per index or per read.  With ``N_k = 2^b u^b d^(2b+a) p^(kb)``,
+    ``(2 tau p^k)^b d^(2b) = N_k / (v^b n^a)``.  The stream keeps
+    ``(Y, R) = divmod(N_k, v^b)``.
+
+    - Step up: N_(k+1) = N_k p^b, so ``(q, R') = divmod(R p^b, v^b)`` gives
+      ``Y' = Y p^b + q``.
+    - Step down, k >= 1: p^b divides N_k, and ``N_(k-1) = N_k / p^b``.
+      Then ``Y' = Y // p^b`` and ``R' = (s v^b + R) / p^b`` with
+      ``s = Y mod p^b``, an exact division.  Proof: the first is the floor
+      identity below, with ``x = N_k / v^b`` and ``m = p^b``.  Writing
+      ``Y = Y' p^b + s``, ``N_k = Y v^b + R = Y' p^b v^b + s v^b + R``, so
+      ``N_(k-1) = Y' v^b + (s v^b + R) / p^b``; that last term is
+      ``N_(k-1) - Y' v^b``, an int, and it lies in ``[0, v^b)`` because
+      ``0 <= s v^b + R < (s + 1) v^b <= p^b v^b``.
+
+    Every test reads Y through ``floor(floor(x) / m) = floor(x / m)``, for a
+    real x >= 0 and an int m >= 1.  Proof: with ``floor(x) = t m + s``,
+    ``0 <= s < m``, ``t m <= x < t m + s + 1 <= (t + 1) m``, so
+    ``floor(x / m) = t``.
+
+    - m: ``W = floor((2 tau p^k)^b) = floor(N_k / (v^b n^a d^(2b)))`` is
+      ``Y // (d^(2b) n^a)``, and m is the largest m with ``(2m - 1)^b <= W``.
+    - k: k is enough when ``tau p^k >= 2^G i^2`` (G = GUARD_BITS); to the
+      b-th power, times ``2^b d^(2b)``, that is
+      ``N_k / v^b >= Z = n^(a+2b) 2^((G+1)b)``.  Z is an int, so the left
+      may be floored to Y: the test is ``Y >= Z``.  At k - 1 the quotient
+      is ``floor(N_k / (p^b v^b)) = Y // p^b``, which is >= Z exactly when
+      ``Y >= Z p^b``, so a step down needs no division to be tested.
+
+    So a digit depends only on its index, never on the reads before it.
+    """
+
+    __slots__ = ("profile", "d", "k", "Y", "R")
+
+    def __init__(self, profile: ProfileElement, d: int, n: int):
+        a, b, ub, vb, step, ln_p, ln_c, r_float = profile._rule
+        ln_i = math.log(n) - math.log(d)
         k = max(0, math.ceil((GUARD_BITS * _LN2 - ln_c + (2 + r_float) * ln_i) / ln_p))
-        Y, R = divmod(ub * d ** (2 * b + a) * step**k << b, vb)
+        self.profile, self.d, self.k = profile, d, k
+        self.Y, self.R = divmod(ub * d ** (2 * b + a) * step**k << b, vb)
+
+    def read(self, start: int, stop: int) -> List[Tuple[int, int]]:
+        """``(m, k)`` at each index ``n/d``, ``start <= n < stop``."""
+        a, b, ub, vb, step, ln_p, ln_c, r_float = self.profile._rule
+        d, k, Y, R = self.d, self.k, self.Y, self.R
+        d2b, ln_d, gb = d ** (2 * b), math.log(d), (GUARD_BITS + 1) * b
         need = start ** (a + 2 * b) << gb
-        while k and Y // step >> b >= need:
+        while k and Y >= need * step:
             k -= 1
             Y, s = divmod(Y, step)
             R = (s * vb + R) // step
@@ -361,7 +393,7 @@ class ProfileElement:
         for n in range(start, stop):
             na = n**a
             need = na * n ** (2 * b) << gb
-            while Y >> b < need:
+            while Y < need:
                 k += 1
                 q, R = divmod(R * step, vb)
                 Y = Y * step + q
@@ -374,6 +406,7 @@ class ProfileElement:
             while (2 * m - 1) ** b > W:
                 m -= 1
             digits.append((m, k))
+        self.k, self.Y, self.R = k, Y, R
         return digits
 
 
@@ -456,10 +489,14 @@ def legendre_power_law(profile: ProfileElement) -> PowerLaw:
     c_exact, _ = inverse_legendre_power(mu)
     if isinstance(c_exact, Fraction) and c_exact == profile.c:
         return PowerLaw(Fraction(1), mu)
+    return PowerLaw(_legendre_constant(profile), mu)
+
+
+def _legendre_constant(profile: ProfileElement) -> float:
+    """K with ``inf_x (c x^-r + s x) = K s^mu``, in floats."""
     rf = float(profile.r)
     cf = float(profile.c)
-    k = cf ** (1 / (rf + 1)) * (rf ** (-rf / (rf + 1)) + rf ** (1 / (rf + 1)))
-    return PowerLaw(k, mu)
+    return cf ** (1 / (rf + 1)) * (rf ** (-rf / (rf + 1)) + rf ** (1 / (rf + 1)))
 
 
 def _deviation_bound(i: int, target: Fraction) -> Fraction:
@@ -555,6 +592,9 @@ def in_m(f: Series) -> bool:
 
 
 RATIO_GRID: Tuple[Fraction, ...] = tuple(Fraction(1, 2**k) for k in range(4, 11))
+# each sample s, falling, with float(s) and its integers sn/sd
+_SAMPLES = tuple((s, float(s), s.numerator, s.denominator) for s in RATIO_GRID)
+_S_MIN = min(RATIO_GRID)
 
 
 @dataclass(frozen=True, slots=True)
@@ -602,12 +642,16 @@ def chain_report(
     p: over a ``MixedPoly`` a depth at or past N raises no
     ``PrecisionLossError``.
 
-    Each profile's stream is read in chunks of 1, 2, 4, ... indices up to
-    a window end ``stop``, at first the depth + 1.  The rule keeps
+    Each profile is read through two digit streams (``_DigitStream``),
+    each of which places k from its float guess once and keeps the rule's
+    state between reads.  The window stream is read forward in chunks of
+    1, 2, 4, ... indices up to a window end ``stop``, at first the
+    depth + 1, so it only steps k up.  The rule keeps
     ``|q_j - tau_j| <= tau_j / (2^(G+1) j^2)`` (G = GUARD_BITS), and
     ``tau_j = c j^(-r)`` strictly decreases, so every j <= E has
     ``q_j >= L = q_E (1 - 2^-G)``, whether or not q_i is monotone.  After
-    each chunk one read of one index gives q_E for E = stop - 1.  With
+    each chunk a read of one index by the probe stream gives q_E for
+    E = stop - 1; E never rises, so that stream only steps k down.  With
     ``s_min = min(RATIO_GRID)`` and V the least ``q_i + s_min i`` read so
     far, an unread j <= E lies past every index read, so at each sample
     s >= s_min, ``q_j + s j - (q_i + s i) >= (q_j + s_min j) - (q_i + s_min i)
@@ -621,11 +665,24 @@ def chain_report(
     benchmark's 23 exponents): the cost does not depend on the depth.
     The window's digits stay the rule's integers, on one denominator p^K
     (:class:`IndexPoints`), so no Fraction is built per digit; k never
-    falls along the stream, so K is the last k.  Every
+    falls along the window, so K is the last k.  Every
     ``m >= 2^GUARD_BITS > 0`` (k makes ``tau p^k >= 2^G i^2``), so every
     q_i is positive and each element lies in the ideal at any depth; the
-    flag reads the window's last ordinate, positive like every digit.  One
-    pass over the grid does it all.
+    flag reads the window's last ordinate, positive like every digit.
+
+    The samples are taken in one pass over the hull's integers, through
+    the kernel :func:`legendre_eval` runs on.  RATIO_GRID falls, so the
+    node each sample finds is where the next search starts; the kernel
+    proves that this is the node a search from the first node finds.
+    Each ratio is ``num / den / (c_norm * s_f ** mu_f)`` on the kernel's
+    unreduced integers: ``num / den`` and ``L.numerator / L.denominator``
+    for the reduced ``L = Fraction(num, den)`` are both the correctly
+    rounded quotient of one rational, so they are one float, and the
+    rest is the float arithmetic it always was.  ``c_norm`` is 1 when c is
+    the exact rational (:func:`legendre_power_law` gives coefficient 1
+    then) and the same float constant otherwise, from the one
+    :func:`inverse_legendre_power` lookup that also gives the profile.
+    One pass over the grid does it all.
     """
     depth = _positive_integer(depth, "depth")
     grid = [_exact(m, _EXPONENTS) for m in mu_grid]
@@ -634,39 +691,45 @@ def chain_report(
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly increasing")
     dom = domain if domain is not None else PerfectPoly(2, "p-power")
-    p, s_min = dom.p, min(RATIO_GRID)
-    sn, sd = s_min.numerator, s_min.denominator
-    samples = [(s, float(s)) for s in RATIO_GRID]
+    p, sn, sd = dom.p, _S_MIN.numerator, _S_MIN.denominator
 
     pairs, membership, ratios = [], [], []
     for idx, mu in enumerate(grid):
-        profile = ProfileElement.for_exponent(mu, dom)
-        law = legendre_power_law(profile)
+        c, r = inverse_legendre_power(mu)
+        exact = isinstance(c, Fraction)  # then the law is exactly s^mu
+        profile = ProfileElement(dom, c if exact else c.midpoint, r)
+        law = PowerLaw(Fraction(1) if exact else _legendre_constant(profile), mu)
         for lam in grid[idx + 1 :]:
             verdict = classify(law, PowerLaw(Fraction(1), lam)).verdict
             pairs.append((mu, lam, verdict, verdict == "omega"))
         # read 1, 2, 4, ... digits at a time; after each chunk the window ends
         # at v - low + 1, for v the least i + floor(q_i / s_min) read so far
         # (never capped at the depth) and low = floor(q_E (1 - 2^-G) / s_min)
-        # at E = stop - 1
+        # at E = stop - 1, read by a second stream since E only falls
+        window, probe = _DigitStream(profile, 1, 1), None
         digits, n, stop, v = [], 1, depth + 1, math.inf
         while n < stop:
-            chunk = profile._digits(1, n, min(stop, 2 * n))
-            v = min(v, *(i + m * sd // (sn * p**k) for i, (m, k) in enumerate(chunk, n)))
+            chunk = window.read(n, min(stop, 2 * n))
+            for i, (m, k) in enumerate(chunk, n):
+                w = i + m * sd // (sn * p**k)
+                if w < v:
+                    v = w
             digits += chunk
             n += len(chunk)
             if n < stop:
-                [(m, k)] = profile._digits(1, stop - 1, stop)
+                probe = probe or _DigitStream(profile, 1, stop - 1)
+                [(m, k)] = probe.read(stop - 1, stop)
                 low = m * ((1 << GUARD_BITS) - 1) * sd // (sn * p**k << GUARD_BITS)
                 stop = min(stop, v - low + 1)
         K = digits[-1][1]  # k never falls: every q_i = m / p^k on the denominator p^K
         poly = lower_hull(IndexPoints([m * p ** (K - k) for m, k in digits], p**K))
-        membership.append((mu, poly.y_last > 0))
+        scaled = poly._scaled
+        membership.append((mu, scaled.ys[-1] > 0))
         c_norm, mu_f = float(law.coeff), float(mu)
-        rows = []
-        for s, s_f in samples:
-            L = legendre_eval(poly, s)  # float(L) is this same division
-            rows.append((s, L.numerator / L.denominator / (c_norm * s_f**mu_f)))
+        rows, node = [], 0
+        for s, s_f, s_num, s_den in _SAMPLES:  # s falls, so each node starts the next search
+            node, num, den = _legendre_node(scaled, s_num, s_den, node)
+            rows.append((s, num / den / (c_norm * s_f**mu_f)))
         ratios.append((mu, tuple(rows)))
 
     return ChainReport(tuple(grid), depth, tuple(pairs), tuple(membership), tuple(ratios))

@@ -29,6 +29,7 @@ from mnseries import (
     tropical_min,
     verify_npf,
 )
+from mnseries.polygon import _legendre_node
 from mnseries.verify import _rand_series
 
 P3 = PerfectPoly(3)
@@ -391,6 +392,11 @@ def test_binary_search_legendre_matches_node_scan():
             grid.append(-Q(y2 - y1) / (x2 - x1))  # s equal to an edge's negated slope
         for s in grid:
             assert legendre_eval(F, s) == reference_legendre_eval(F, s)
+        # the kernel, each search starting at the node found for the larger s before
+        node = 0
+        for s in sorted(grid, reverse=True):
+            node, num, den = _legendre_node(F._scaled, s.numerator, s.denominator, node)
+            assert Q(num, den) == reference_legendre_eval(F, s)
 
 
 def test_plconvexfn_equal_slopes_accepted_concave_rejected():

@@ -723,21 +723,21 @@ def test_chain_report_values_each_digit_once(p, monkeypatch):
     dom = PerfectPoly(p, "p-power")
     grid, depth = [Q(1, 100), Q(1, 16), Q(1, 2), Q(11, 12)], 96
     calls, streams = [], []
-    original, rule = PerfectPoly.coeff_valuation, ProfileElement._digits
+    original, read = PerfectPoly.coeff_valuation, profiles_module._DigitStream.read
 
     def counted(self, a):
         calls.append(a)
         return original(self, a)
 
-    def counted_rule(self, d, start, stop):
-        streams.append((self.mu, d, start, stop))
-        return rule(self, d, start, stop)
+    def counted_read(self, start, stop):
+        streams.append((self.profile.mu, self.d, start, stop))
+        return read(self, start, stop)
 
     def no_series(*args):
         raise AssertionError("chain_report built a series")
 
     monkeypatch.setattr(PerfectPoly, "coeff_valuation", counted)
-    monkeypatch.setattr(ProfileElement, "_digits", counted_rule)
+    monkeypatch.setattr(profiles_module._DigitStream, "read", counted_read)
     monkeypatch.setattr(profiles_module, "materialize", no_series)
     report = chain_report(grid, depth=depth, domain=dom)
     assert len(calls) == 0
@@ -834,6 +834,17 @@ def _recording(samples):
     return recorded
 
 
+def _recording_kernel(samples):
+    """The Legendre kernel chain_report calls, keeping each exact sample in ``samples``."""
+    kernel = profiles_module._legendre_node
+
+    def recorded(scaled, sn, sd, lo=0):
+        node, num, den = kernel(scaled, sn, sd, lo)
+        samples.append(Q(num, den))
+        return node, num, den
+    return recorded
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 @pytest.mark.parametrize("depth", [1, 2, 5, 16, 100, 512, 1024])
 def test_windowed_chain_report_equals_a_full_read(p, depth, monkeypatch):
@@ -843,7 +854,7 @@ def test_windowed_chain_report_equals_a_full_read(p, depth, monkeypatch):
     for grid in (MU_GRID, BENCH_MUS, [Q(1, 100), Q(1, 50)]):
         full, windowed = [], []
         expected = _full_read_report(grid, depth, dom, _recording(full))
-        monkeypatch.setattr(profiles_module, "legendre_eval", _recording(windowed))
+        monkeypatch.setattr(profiles_module, "_legendre_node", _recording_kernel(windowed))
         assert chain_report(grid, depth=depth, domain=dom) == expected
         monkeypatch.undo()
         assert windowed == full  # the exact samples, not only their floats
@@ -867,14 +878,14 @@ def test_chain_report_reads_the_same_digits_at_any_depth(monkeypatch):
     # the window closes below 1 026 digits whatever the depth, and the 23
     # benchmark exponents read at most 1 000 indices in all, one-index reads
     # included: count what the rule is asked for, never the wall time
-    read, rule = [], ProfileElement._digits
+    read, stream_read = [], profiles_module._DigitStream.read
 
-    def counted_rule(self, d, start, stop):
+    def counted_read(self, start, stop):
         assert stop - start < 1030, "a stream past the window"
-        read.append((self.mu, start, stop))
-        return rule(self, d, start, stop)
+        read.append((self.profile.mu, start, stop))
+        return stream_read(self, start, stop)
 
-    monkeypatch.setattr(ProfileElement, "_digits", counted_rule)
+    monkeypatch.setattr(profiles_module._DigitStream, "read", counted_read)
     totals = []
     for depth in (10**3, 1024, 10**6, 10**20):
         read.clear()
@@ -886,6 +897,81 @@ def test_chain_report_reads_the_same_digits_at_any_depth(monkeypatch):
         totals.append(sum(per_profile.values()))
     assert totals[1] <= 1000
     assert totals[0] == totals[1] == totals[2] == totals[3]
+
+
+def _read_schedule(rng, d, reads=8):
+    """Reads ``(kind, start, stop)`` of one stream over the indices n/d >= 1:
+    forward chunks, one-index probes back, and chunks that seek before the
+    last read or past it."""
+    start = d + rng.randrange(64 * d)
+    schedule = [("first", start, start + rng.randint(1, 8))]
+    for _ in range(reads - 1):
+        _, lo, hi = schedule[-1]
+        kind = rng.choice(("forward", "back", "before", "past"))
+        if kind == "forward":
+            start = hi
+        elif kind == "past":
+            start = hi + rng.randint(1, 256 * d)
+        else:
+            start = rng.randrange(d, lo) if lo > d else lo
+        stop = start + (1 if kind == "back" else rng.randint(1, 8))
+        schedule.append((kind, start, stop))
+    return schedule
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_a_stream_read_in_any_order_equals_a_fresh_read(p):
+    # the stream keeps (k, Y, R) between reads and steps k up or down from
+    # there: every read, whatever came before it, gives the digits of a fresh
+    # read and of digit_exponent at each index
+    dom = PerfectPoly(p, "p-power")
+    rng, kinds = random.Random(f"stream-reads:{p}"), set()
+    for mu in BENCH_MUS + [Q(1, 100), Q(1, 50)]:
+        profile = ProfileElement.for_exponent(mu, dom)
+        for d in (1, p * p):
+            schedule = _read_schedule(rng, d)
+            stream = profiles_module._DigitStream(profile, d, schedule[0][1])
+            for kind, start, stop in schedule:
+                kinds.add(kind)
+                got = stream.read(start, stop)
+                assert got == profile._digits(d, start, stop), (mu, d, kind, start, stop)
+                assert [Q(m, p**k) for m, k in got] == [
+                    profile.digit_exponent(Q(n, d)) for n in range(start, stop)], (mu, d, kind)
+    assert kinds == {"first", "forward", "back", "before", "past"}
+
+
+def test_chain_report_places_k_twice_per_profile(monkeypatch):
+    # one stream set-up (a float guess for k and one division by v^b) for the
+    # window and one for the q_E probes, at any depth; the window then reads
+    # forward and only steps k up, the probes read back and only step it down
+    made, reads = [], {}
+    init, read = profiles_module._DigitStream.__init__, profiles_module._DigitStream.read
+
+    def counted_init(self, profile, d, n):
+        made.append(profile.mu)
+        init(self, profile, d, n)
+
+    def counted_read(self, start, stop):
+        k = self.k
+        digits = read(self, start, stop)
+        reads.setdefault(self, []).append((start, k, digits[0][1]))
+        return digits
+
+    monkeypatch.setattr(profiles_module._DigitStream, "__init__", counted_init)
+    monkeypatch.setattr(profiles_module._DigitStream, "read", counted_read)
+    for depth in (16, 1024, 10**20):
+        made.clear()
+        reads.clear()
+        chain_report(BENCH_MUS, depth=depth)
+        assert made == [mu for mu in BENCH_MUS for _ in range(2)], depth
+        assert len(reads) == 2 * len(BENCH_MUS)
+        window, probes = list(reads.values())[0::2], list(reads.values())[1::2]
+        for stream in window:
+            assert all(b[0] > a[0] for a, b in zip(stream, stream[1:]))
+            assert all(k_in <= k_first for _, k_in, k_first in stream[1:])
+        for stream in probes:
+            assert all(b[0] <= a[0] for a, b in zip(stream, stream[1:]))
+            assert all(k_in >= k_first for _, k_in, k_first in stream[1:])
 
 
 def test_mixed_chain_report_depends_on_the_domain_only_through_p():

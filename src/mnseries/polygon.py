@@ -12,7 +12,7 @@ and multiplicative on sample grids.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -271,13 +271,14 @@ def _legendre_node(scaled: _Scaled, sn: int, sd: int, lo: int = 0) -> Tuple[int,
     """
     xs, ys, dx, dy = scaled
     a, b = dx * sd, sn * dy
-    k = bisect_left(
-        range(len(xs) - 1),
-        True,
-        lo,
-        key=lambda j: (ys[j + 1] - ys[j]) * a + b * (xs[j + 1] - xs[j]) >= 0,
-    )
-    return k, ys[k] * a + b * xs[k], dy * a
+    hi = len(xs) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if (ys[mid + 1] - ys[mid]) * a + b * (xs[mid + 1] - xs[mid]) >= 0:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo, ys[lo] * a + b * xs[lo], dy * a
 
 
 def tropical_min(F: Callable[[Fraction], Value], G: Callable[[Fraction], Value]):

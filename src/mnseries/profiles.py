@@ -265,7 +265,8 @@ class ProfileElement:
     comparisons.  The rule runs only as a resumable stream over the
     indices ``n/d`` (``_DigitStream``): :meth:`digit_exponent` and
     :func:`materialize` each make one read of a fresh stream, and
-    :func:`chain_report` reads each profile through two.  Its
+    :func:`chain_report` two forward reads of one, whose window its
+    docstring proves.  Its
     profile-wide integers (``u^b``, ``v^b``, ``p^b``) and logarithms are
     computed once, at construction, into a field that takes no part in
     ``==``, ``hash`` or ``repr``.  ``c`` and
@@ -334,8 +335,7 @@ class _DigitStream:
     The bound on ``p^-k`` shrinks as n grows, so k never falls inside a
     read: only its first index certifies k both ways, and each later index
     starts from the k before it and only steps up.  A stream read forward
-    in runs therefore steps k up only, and one read back one index at a
-    time steps it down only.
+    in runs, as :func:`chain_report` reads one, therefore steps k up only.
 
     The one big division, by ``v^b``, is taken once per step up of k, never
     per index or per read.  With ``N_k = 2^b u^b d^(2b+a) p^(kb)``,
@@ -595,6 +595,7 @@ RATIO_GRID: Tuple[Fraction, ...] = tuple(Fraction(1, 2**k) for k in range(4, 11)
 # each sample s, falling, with float(s) and its integers sn/sd
 _SAMPLES = tuple((s, float(s), s.numerator, s.denominator) for s in RATIO_GRID)
 _S_MIN = min(RATIO_GRID)
+_LN_LAM = math.log1p(-(2.0**-GUARD_BITS))  # ln(1 - 2^-G)
 
 
 @dataclass(frozen=True, slots=True)
@@ -624,6 +625,57 @@ class ChainReport:
         return all(member for _, member in self.membership)
 
 
+def _chain_window(profile: ProfileElement, depth: int) -> IndexPoints:
+    """The points ``(i, q_i)`` that :func:`chain_report` hulls for one
+    profile, on one denominator p^K: i = 1 .. n_lam + 1, then on up to
+    J - 1, never past the depth.  Its docstring defines n_lam and J and
+    proves the cut."""
+    a, b, ub, vb, _, _, ln_c, r_float = profile._rule
+    p, sn, sd = profile.domain.p, _S_MIN.numerator, _S_MIN.denominator
+    lam_u, scale_v = ((1 << GUARD_BITS) - 1) ** b * ub, vb << GUARD_BITS * b
+    # n_lam, the least n >= 1 with n >= x_lam
+    top, bottom = (a * sd) ** b * lam_u, (b * sn) ** b * scale_v
+    ln_x = (math.log(r_float) + _LN_LAM + ln_c + math.log(sd / sn)) / (r_float + 1)
+    n = max(1, math.ceil(math.exp(ln_x)))
+    while n ** (a + b) * bottom < top:
+        n += 1
+    while n > 1 and (n - 1) ** (a + b) * bottom >= top:
+        n -= 1
+    stream = _DigitStream(profile, 1, 1)
+    digits = stream.read(1, min(n + 2, depth + 1))
+    K = digits[-1][1]  # k never falls along a forward read: the last k is the largest
+    ys = [m * p ** (K - k) for m, k in digits]
+    end = len(ys) + 1
+    if end <= depth:
+        # V = Vn / D, the least q_i + s_min i read, on the denominator D = sd p^K
+        pK = p**K
+        sn_pK, D = sn * pK, sd * pK
+        Vn = min(y * sd + i * sn_pK for i, y in enumerate(ys, 1))
+        lam_c, s_f, V_f = math.exp(_LN_LAM + ln_c), sn / sd, Vn / D
+        J = n
+        while lam_c * J**-r_float + s_f * J <= V_f:
+            J += 1
+        lam_u_D = lam_u * D**b
+
+        def beyond(J: int) -> bool:  # h(J) > V
+            rest = Vn - J * sn_pK
+            return rest < 0 or lam_u_D > rest**b * J**a * scale_v
+
+        while not beyond(J):
+            J += 1
+        while J > n and beyond(J - 1):
+            J -= 1
+        if J > end:
+            more = stream.read(end, min(J, depth + 1))
+            k_last = more[-1][1]
+            if k_last > K:
+                up = p ** (k_last - K)
+                ys = [y * up for y in ys]
+                K = k_last
+            ys += [m * p ** (K - k) for m, k in more]
+    return IndexPoints(ys, p**K)
+
+
 def chain_report(
     mu_grid: Sequence,
     depth: int = 128,
@@ -642,27 +694,44 @@ def chain_report(
     p: over a ``MixedPoly`` a depth at or past N raises no
     ``PrecisionLossError``.
 
-    Each profile is read through two digit streams (``_DigitStream``),
-    each of which places k from its float guess once and keeps the rule's
-    state between reads.  The window stream is read forward in chunks of
-    1, 2, 4, ... indices up to a window end ``stop``, at first the
-    depth + 1, so it only steps k up.  The rule keeps
-    ``|q_j - tau_j| <= tau_j / (2^(G+1) j^2)`` (G = GUARD_BITS), and
-    ``tau_j = c j^(-r)`` strictly decreases, so every j <= E has
-    ``q_j >= L = q_E (1 - 2^-G)``, whether or not q_i is monotone.  After
-    each chunk a read of one index by the probe stream gives q_E for
-    E = stop - 1; E never rises, so that stream only steps k down.  With
-    ``s_min = min(RATIO_GRID)`` and V the least ``q_i + s_min i`` read so
-    far, an unread j <= E lies past every index read, so at each sample
-    s >= s_min, ``q_j + s j - (q_i + s i) >= (q_j + s_min j) - (q_i + s_min i)
-    >= L + s_min j - V`` for the i attaining V.  That is positive from
-    ``floor(V / s_min) - floor(L / s_min) + 1`` on, where the window now
-    ends: no cut index attains or ties any sample.  ``floor(V / s_min)``
-    is the least ``i + floor(q_i / s_min)``, so the bound stays in the
-    rule's integers.  The window never passes index
-    ``1 + floor(q_1 / s_min) <= 1 024`` (q_1 < 1), and closes far sooner
-    (at most 75 indices read per profile, one-index reads included, on the
-    benchmark's 23 exponents): the cost does not depend on the depth.
+    Each profile is read through one digit stream (``_DigitStream``), in
+    two forward reads from index 1 (:func:`_chain_window`), so k is placed
+    from its float guess once and then only steps up; neither read passes
+    the depth.  The window ends where the decay curve's own lower bound
+    passes every sample.  The rule keeps
+    ``|q_j - tau_j| <= tau_j / (2^(G+1) j^2)`` (G = GUARD_BITS,
+    ``tau_j = c j^(-r)``), so ``q_j >= lam tau_j`` with
+    ``lam = 1 - 2^-G``, whether or not q_j is monotone.  With
+    ``s_min = min(RATIO_GRID)``, ``h(x) = lam c x^(-r) + s_min x`` is
+    convex on x > 0 with its minimum at
+    ``x_lam = (r lam c / s_min)^(1/(r+1))``, and increases from there.
+    Let V be the least ``q_i + s_min i`` read, an exact rational, and J an
+    integer with ``J >= x_lam`` and ``h(J) > V``.  An index i that attains
+    V has ``h(i) <= q_i + s_min i = V < h(J)``, so i < J.  Then for every
+    j >= J and every sample s >= s_min, as ``(s - s_min)(j - i) >= 0``,
+    ``q_j + s j - (q_i + s i) >= (q_j + s_min j) - V >= h(j) - V
+    >= h(J) - V > 0``: no index at or past J attains or ties any sample,
+    so the hull of the indices before J gives every sample, and so does
+    the hull of any longer run of indices up to the depth.
+
+    - The first read takes indices 1 .. n_lam + 1, for n_lam the least
+      integer n >= 1 with n >= x_lam.  With r = a/b, c = u/v and
+      s_min = sn/sd, ``n^(r+1) >= r lam c / s_min`` raised to the b-th
+      power is ``n^(a+b) (b sn)^b 2^(Gb) v^b >= (a sd)^b (2^G - 1)^b u^b``.
+    - V is then the least ``q_i + s_min i`` of that read, ``Vn / D`` on
+      ``D = sd p^K`` (K the read's last k), and J the least integer
+      J >= n_lam with ``h(J) > V``.  With ``rest = Vn - sn J p^K``,
+      ``V - s_min J = rest / D``, so that holds exactly when rest < 0 or
+      ``(2^G - 1)^b u^b D^b > rest^b J^a 2^(Gb) v^b``.
+    - If J is past the first read, the second takes the indices up to
+      J - 1.  Any smaller V it finds keeps ``h(J) > V``.
+
+    Floats guess n_lam and J, and these integer tests move each guess to
+    the least integer that passes, as the rule does for k and m.  J ends
+    a few indices past x_lam (at most ``ceil(x_lam) + 3`` digits per
+    profile over the benchmark's 23 exponents), and x_lam < 1 024 as
+    ``r c = (r / (r+1))^(r+1) < 1``: the cost does not depend on the
+    depth.
     The window's digits stay the rule's integers, on one denominator p^K
     (:class:`IndexPoints`), so no Fraction is built per digit; k never
     falls along the window, so K is the last k.  Every
@@ -691,7 +760,7 @@ def chain_report(
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly increasing")
     dom = domain if domain is not None else PerfectPoly(2, "p-power")
-    p, sn, sd = dom.p, _S_MIN.numerator, _S_MIN.denominator
+    p = dom.p
 
     pairs, membership, ratios = [], [], []
     for idx, mu in enumerate(grid):
@@ -702,28 +771,7 @@ def chain_report(
         for lam in grid[idx + 1 :]:
             verdict = classify(law, PowerLaw(Fraction(1), lam)).verdict
             pairs.append((mu, lam, verdict, verdict == "omega"))
-        # read 1, 2, 4, ... digits at a time; after each chunk the window ends
-        # at v - low + 1, for v the least i + floor(q_i / s_min) read so far
-        # (never capped at the depth) and low = floor(q_E (1 - 2^-G) / s_min)
-        # at E = stop - 1, read by a second stream since E only falls
-        window, probe = _DigitStream(profile, 1, 1), None
-        digits, n, stop, v = [], 1, depth + 1, math.inf
-        while n < stop:
-            chunk = window.read(n, min(stop, 2 * n))
-            for i, (m, k) in enumerate(chunk, n):
-                w = i + m * sd // (sn * p**k)
-                if w < v:
-                    v = w
-            digits += chunk
-            n += len(chunk)
-            if n < stop:
-                probe = probe or _DigitStream(profile, 1, stop - 1)
-                [(m, k)] = probe.read(stop - 1, stop)
-                low = m * ((1 << GUARD_BITS) - 1) * sd // (sn * p**k << GUARD_BITS)
-                stop = min(stop, v - low + 1)
-        K = digits[-1][1]  # k never falls: every q_i = m / p^k on the denominator p^K
-        poly = lower_hull(IndexPoints([m * p ** (K - k) for m, k in digits], p**K))
-        scaled = poly._scaled
+        scaled = lower_hull(_chain_window(profile, depth))._scaled
         membership.append((mu, scaled.ys[-1] > 0))
         c_norm, mu_f = float(law.coeff), float(mu)
         rows, node = [], 0

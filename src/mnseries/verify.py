@@ -38,6 +38,7 @@ from .profiles import (
     in_m,
     inverse_legendre_power,
     legendre_power_law,
+    materialize,
     supremum_example,
 )
 from .series import (
@@ -544,17 +545,27 @@ def _chain_singleton() -> Check:
 
 @_suite("chain", every=40, fixed=_chain_singleton)
 def _suite_chain(rng: random.Random, case: int) -> Check:
-    """Strictly increasing grids separate completely; the ideal holds."""
+    """Strictly increasing grids separate completely; the ideal holds; each
+    Legendre ratio is the least term value of the materialized element over
+    its normalized power law."""
     den = rng.choice([8, 12, 16])
     nums = sorted(rng.sample(range(1, den), rng.randrange(2, 5)))
     grid = [Fraction(n, den) for n in nums]
-    report = chain_report(grid, depth=32)
+    depth, dom = 32, PerfectPoly(2, "p-power")
+    report = chain_report(grid, depth=depth)
     if not report.all_separated:
         yield dict(grid=grid, kind="separation")
     if not report.all_in_ideal:
         yield dict(grid=grid, kind="ideal-membership")
     if len(report.pairs) != len(grid) * (len(grid) - 1) // 2:
         yield dict(grid=grid, kind="pair-count")
+    for mu, row in report.ratios:
+        profile = ProfileElement.for_exponent(mu, dom)
+        f, norm = materialize(profile, depth), float(legendre_power_law(profile).coeff)
+        for s, ratio in row:
+            least, _ = gauss_valuation(f, s)
+            if ratio != float(least) / (norm * float(s) ** float(mu)):
+                yield dict(grid=grid, kind="ratio", mu=mu, s=s)
 
 
 def _unit_digit() -> Check:

@@ -551,9 +551,14 @@ SILENTLY_DROPPED = [
 EVIDENCE = [
     *[(command, flag, differs(argv(lit), a, b))
       for command, argv in SERIES_ARGV.items() for flag, (lit, a, b) in SERIES_FLAGS.items()],
-    # a polygon reads each coefficient mod p only, so N shows only as a refusal
+    # a formal polygon reads each coefficient mod p only, so there N shows only
+    # as a refusal; in arithmetic mode the literal is carried first, and 1 + p
+    # prints node x=0 y=0 at the default N but overflows p^1
     ("np", "--prec-N", refused("np", "x", "--prec-N", "5")),
     ("leg", "--prec-N", refused("leg", "x", "--s", "1", "--prec-N", "5")),
+    *[(command, "--prec-N", differs(SERIES_ARGV[command]("1 + p"), [*ARITH, "--domain", "padic"],
+                                    [*ARITH, "--domain", "padic", "--prec-N", "1"]))
+      for command in ("np", "leg")],
     *[(command, "--prec-N", differs(SERIES_ARGV[command]("2"), ["--domain", "mixed"],
                                     ["--domain", "mixed", "--prec-N", "1"]))
       for command in ("gauss", "mul", "add")],

@@ -691,37 +691,52 @@ def test_mu_is_exact_for_int_rate():
     assert ProfileElement(P2, 3, 2).mu == Q(2, 3)
 
 
-def _reference_reads(profile, depth):
-    """The ``(start, stop)`` reads chain_report makes of one profile, worked
-    out on Fractions: chunks of 1, 2, 4, ... indices, each followed, while
-    the window is still open, by a read of q_E at its last index E, which
-    ends the window at ``floor(V / s_min) - floor(q_E (1 - 2^-G) / s_min) + 1``
-    for V the least ``q_i + s_min i`` read so far."""
+def _window_ends(profile):
+    """``(n_lam, V -> J)`` on Fractions, for ``lam = 1 - 2^-G``: n_lam is the
+    least n >= 1 with ``n >= x_lam = (r lam c / s_min)^(1/(r+1))``, and J the
+    least J >= n_lam with ``lam c J^-r + s_min J > V``, both tested raised
+    to the b-th power (r = a/b)."""
     s_min = min(profiles_module.RATIO_GRID)
-    shrink = 1 - Q(1, 2**profiles_module.GUARD_BITS)
-    q = profile.digit_exponent
-    reads, n, stop, least = [], 1, depth + 1, []
-    while n < stop:
-        end = min(stop, 2 * n)
-        reads.append((n, end))
-        least = [min(least + [q(i) + s_min * i for i in range(n, end)])]
-        n = end
-        if n < stop:
-            reads.append((stop - 1, stop))
-            stop = min(stop, least[0] // s_min - q(stop - 1) * shrink // s_min + 1)
+    lam_c, r = (1 - Q(1, 2**profiles_module.GUARD_BITS)) * profile.c, profile.r
+    a, b = r.numerator, r.denominator
+    top = (r * lam_c / s_min) ** b
+    n_lam = 1
+    while Q(n_lam) ** (a + b) < top:
+        n_lam += 1
+
+    def end(V):
+        J = n_lam
+        while V - s_min * J >= 0 and lam_c**b <= (V - s_min * J) ** b * J**a:
+            J += 1
+        return J
+    return n_lam, end
+
+
+def _reference_reads(profile, depth):
+    """The ``(start, stop)`` reads chain_report makes of one profile's one
+    stream, worked out on Fractions: indices 1 .. n_lam + 1, then, for V the
+    least ``q_i + s_min i`` of that read, on up to J - 1; never past the depth."""
+    s_min = min(profiles_module.RATIO_GRID)
+    n_lam, end = _window_ends(profile)
+    reads = [(1, min(n_lam + 2, depth + 1))]
+    if n_lam + 1 < depth:
+        J = end(min(profile.digit_exponent(i) + s_min * i for i in range(1, n_lam + 2)))
+        if J > n_lam + 2:
+            reads.append((n_lam + 2, min(J, depth + 1)))
     return reads
 
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_chain_report_values_each_digit_once(p, monkeypatch):
     # each digit is read from the integer rule, one profile at a time, with no
-    # series and no coefficient valuation.  The chunks of a profile cover
-    # 1..end once, each followed by one read of q_E at the window's last
-    # index E, exactly as the Fraction reference gives them.  The bound they
-    # rest on holds: every j <= E has q_j >= q_E (1 - 2^-G), and every index
-    # past the window lies strictly above some digit read at every sample
+    # series and no coefficient valuation: one stream per profile, read forward
+    # from index 1 in one or two reads, exactly as the Fraction reference gives
+    # them, at a depth that cuts 1/16's first read (40), its second (44) and
+    # none (96).  The bound they rest on holds: every q_j >= (1 - 2^-G) c j^-r,
+    # and every index past the window lies strictly above some digit read at
+    # every sample
     dom = PerfectPoly(p, "p-power")
-    grid, depth = [Q(1, 100), Q(1, 16), Q(1, 2), Q(11, 12)], 96
+    grid = [Q(1, 100), Q(1, 16), Q(1, 2), Q(11, 12)]
     calls, streams = [], []
     original, read = PerfectPoly.coeff_valuation, profiles_module._DigitStream.read
 
@@ -730,45 +745,43 @@ def test_chain_report_values_each_digit_once(p, monkeypatch):
         return original(self, a)
 
     def counted_read(self, start, stop):
-        streams.append((self.profile.mu, self.d, start, stop))
+        streams.append((self, self.profile.mu, self.d, start, stop))
         return read(self, start, stop)
 
     def no_series(*args):
         raise AssertionError("chain_report built a series")
 
-    monkeypatch.setattr(PerfectPoly, "coeff_valuation", counted)
-    monkeypatch.setattr(profiles_module._DigitStream, "read", counted_read)
-    monkeypatch.setattr(profiles_module, "materialize", no_series)
-    report = chain_report(grid, depth=depth, domain=dom)
-    assert len(calls) == 0
-    monkeypatch.undo()
-    assert PerfectPoly.coeff_valuation is original
-    assert [mu for mu, *_ in streams] == sorted(mu for mu, *_ in streams)  # one profile at a time
-    assert all(d == 1 for _, d, _, _ in streams)
-    shrink = 1 - Q(1, 2**profiles_module.GUARD_BITS)
-    read_to = {}
-    for mu in grid:
-        profile = ProfileElement.for_exponent(mu, dom)
-        mine = [(start, stop) for m, _, start, stop in streams if m == mu]
-        assert mine == _reference_reads(profile, depth)
-        chunks, tails = mine[0::2], mine[1::2]
-        assert [start for start, _ in chunks] == [1] + [stop for _, stop in chunks[:-1]]
-        assert all(stop == start + 1 for start, stop in tails)
-        assert tails[0] == (depth, depth + 1)  # the first window end is the depth
-        q = [None] + [profile.digit_exponent(i) for i in range(1, depth + 1)]
-        for E, _ in tails:
-            assert min(q[1:E + 1]) >= q[E] * shrink, (mu, E)
-        end = chunks[-1][1] - 1
-        for s in profiles_module.RATIO_GRID:
-            best = min(q[i] + s * i for i in range(1, end + 1))
-            assert all(q[j] + s * j > best for j in range(end + 1, depth + 1)), (mu, s)
-        read_to[mu] = end
-    assert read_to[Q(1, 16)] < depth  # q_i > 0 alone cuts at about 663, past 96
-    assert read_to[Q(11, 12)] <= 3
-    expected = [(mu, in_m(materialize(ProfileElement.for_exponent(mu, dom), depth)))
-                for mu in grid]
-    assert list(report.membership) == expected
-    assert report.all_in_ideal
+    lam = 1 - Q(1, 2**profiles_module.GUARD_BITS)
+    for depth in (40, 44, 96):
+        streams.clear()
+        monkeypatch.setattr(PerfectPoly, "coeff_valuation", counted)
+        monkeypatch.setattr(profiles_module._DigitStream, "read", counted_read)
+        monkeypatch.setattr(profiles_module, "materialize", no_series)
+        report = chain_report(grid, depth=depth, domain=dom)
+        assert len(calls) == 0
+        monkeypatch.undo()
+        assert PerfectPoly.coeff_valuation is original
+        assert [mu for _, mu, *_ in streams] == sorted(mu for _, mu, *_ in streams)  # one profile at a time
+        assert all(d == 1 for _, _, d, _, _ in streams)
+        assert len({id(stream) for stream, *_ in streams}) == len(grid)
+        for mu in grid:
+            profile = ProfileElement.for_exponent(mu, dom)
+            mine = [(start, stop) for _, m, _, start, stop in streams if m == mu]
+            assert mine == _reference_reads(profile, depth), (mu, depth)
+            assert [start for start, _ in mine] == [1] + [stop for _, stop in mine[:-1]]
+            end = mine[-1][1] - 1
+            n_lam, _ = _window_ends(profile)
+            assert end <= min(depth, n_lam + 3), (mu, depth)
+            q = [None] + [profile.digit_exponent(i) for i in range(1, depth + 1)]
+            a, b = profile.r.numerator, profile.r.denominator
+            assert all(q[j] ** b * j**a >= (lam * profile.c) ** b for j in range(1, depth + 1)), mu
+            for s in profiles_module.RATIO_GRID:
+                best = min(q[i] + s * i for i in range(1, end + 1))
+                assert all(q[j] + s * j > best for j in range(end + 1, depth + 1)), (mu, s)
+        expected = [(mu, in_m(materialize(ProfileElement.for_exponent(mu, dom), depth)))
+                    for mu in grid]
+        assert list(report.membership) == expected
+        assert report.all_in_ideal
 
 
 def _report_from_series(grid, depth, dom):
@@ -865,7 +878,8 @@ def test_windowed_chain_report_equals_a_full_read(p, depth, monkeypatch):
 def test_least_digit_up_to_each_depth_is_the_last(p):
     # on these exponents q_i strictly decreases, so the least digit over
     # 1..depth is q_depth, and every m >= 2^GUARD_BITS; chain_report needs
-    # only the latter, and the bound q_j >= q_E (1 - 2^-G) for j <= E
+    # only the latter, and its window rests on no monotonicity at all (see
+    # the proof in chain_report's docstring)
     dom = PerfectPoly(p, "p-power")
     for mu in sorted(set(BENCH_MUS) | set(MU_GRID)):
         digits = ProfileElement.for_exponent(mu, dom)._digits(1, 1, 1025)
@@ -875,13 +889,13 @@ def test_least_digit_up_to_each_depth_is_the_last(p):
 
 
 def test_chain_report_reads_the_same_digits_at_any_depth(monkeypatch):
-    # the window closes below 1 026 digits whatever the depth, and the 23
-    # benchmark exponents read at most 1 000 indices in all, one-index reads
-    # included: count what the rule is asked for, never the wall time
+    # the window closes a few indices past x_lam whatever the depth: the 23
+    # benchmark exponents read at most 560 indices in all, and each profile at
+    # most ceil(x_lam) + 4 at p = 2, 3 and 5; count what the rule is asked
+    # for, never the wall time
     read, stream_read = [], profiles_module._DigitStream.read
 
     def counted_read(self, start, stop):
-        assert stop - start < 1030, "a stream past the window"
         read.append((self.profile.mu, start, stop))
         return stream_read(self, start, stop)
 
@@ -891,12 +905,16 @@ def test_chain_report_reads_the_same_digits_at_any_depth(monkeypatch):
         read.clear()
         report = chain_report(BENCH_MUS, depth=depth)
         assert report.all_in_ideal and report.depth == depth
-        per_profile = {mu: sum(stop - start for m, start, stop in read if m == mu) for mu in BENCH_MUS}
-        assert max(per_profile.values()) < 1030
-        assert [(start, stop) for _, start, stop in read if start == depth] == [(depth, depth + 1)] * len(BENCH_MUS)
-        totals.append(sum(per_profile.values()))
-    assert totals[1] <= 1000
+        totals.append(sum(stop - start for _, start, stop in read))
+    assert totals[1] <= 560
     assert totals[0] == totals[1] == totals[2] == totals[3]
+    for p in (2, 3, 5):
+        dom = PerfectPoly(p, "p-power")
+        for mu in BENCH_MUS + [Q(1, 100), Q(1, 50)]:
+            read.clear()
+            chain_report([mu], depth=10**20, domain=dom)
+            n_lam, _ = _window_ends(ProfileElement.for_exponent(mu, dom))  # ceil(x_lam), or 1
+            assert sum(stop - start for _, start, stop in read) <= n_lam + 4, (p, mu)
 
 
 def _read_schedule(rng, d, reads=8):
@@ -940,21 +958,21 @@ def test_a_stream_read_in_any_order_equals_a_fresh_read(p):
     assert kinds == {"first", "forward", "back", "before", "past"}
 
 
-def test_chain_report_places_k_twice_per_profile(monkeypatch):
-    # one stream set-up (a float guess for k and one division by v^b) for the
-    # window and one for the q_E probes, at any depth; the window then reads
-    # forward and only steps k up, the probes read back and only step it down
+def test_chain_report_places_k_once_per_profile(monkeypatch):
+    # one stream set-up (a float guess for k and one division by v^b) per
+    # profile at any depth; the stream then reads forward from index 1, each
+    # read starting where the one before stopped, and only steps k up
     made, reads = [], {}
     init, read = profiles_module._DigitStream.__init__, profiles_module._DigitStream.read
 
     def counted_init(self, profile, d, n):
-        made.append(profile.mu)
+        made.append((profile.mu, d, n))
         init(self, profile, d, n)
 
     def counted_read(self, start, stop):
         k = self.k
         digits = read(self, start, stop)
-        reads.setdefault(self, []).append((start, k, digits[0][1]))
+        reads.setdefault(self, []).append((start, stop, k, digits[0][1]))
         return digits
 
     monkeypatch.setattr(profiles_module._DigitStream, "__init__", counted_init)
@@ -963,15 +981,13 @@ def test_chain_report_places_k_twice_per_profile(monkeypatch):
         made.clear()
         reads.clear()
         chain_report(BENCH_MUS, depth=depth)
-        assert made == [mu for mu in BENCH_MUS for _ in range(2)], depth
-        assert len(reads) == 2 * len(BENCH_MUS)
-        window, probes = list(reads.values())[0::2], list(reads.values())[1::2]
-        for stream in window:
-            assert all(b[0] > a[0] for a, b in zip(stream, stream[1:]))
-            assert all(k_in <= k_first for _, k_in, k_first in stream[1:])
-        for stream in probes:
-            assert all(b[0] <= a[0] for a, b in zip(stream, stream[1:]))
-            assert all(k_in >= k_first for _, k_in, k_first in stream[1:])
+        assert made == [(mu, 1, 1) for mu in BENCH_MUS], depth
+        assert len(reads) == len(BENCH_MUS)
+        for stream in reads.values():
+            assert 1 <= len(stream) <= 2
+            assert stream[0][0] == 1
+            assert all(b[0] == a[1] for a, b in zip(stream, stream[1:]))
+            assert all(k_in <= k_first for _, _, k_in, k_first in stream[1:])
 
 
 def test_mixed_chain_report_depends_on_the_domain_only_through_p():

@@ -1,6 +1,7 @@
 """Property-suite runner: coverage, determinism, report format."""
 
 import ast
+import dataclasses
 import hashlib
 import importlib
 import json
@@ -12,9 +13,10 @@ import pytest
 
 import mnseries
 import mnseries.cli
+import mnseries.profiles as profiles_module
 import mnseries.verify as verify_module
-from mnseries import (MixedPoly, PadicDigits, PerfectPoly, Series, XPoly, format_report, run_all,
-                      run_suite, suite_names)
+from mnseries import (IndexPoints, MixedPoly, PadicDigits, PerfectPoly, Series, XPoly, format_report,
+                      run_all, run_suite, suite_names)
 
 
 def test_every_registered_suite_passes_briefly():
@@ -238,3 +240,39 @@ def test_fixed_checks_report_as_case_minus_one(monkeypatch):
 
     monkeypatch.setattr(verify_module, "chain_report", paired)
     assert run_suite("chain", 40, 0).failures == ("case=-1 kind=singleton-grid",)
+
+
+def _window_cut_short(monkeypatch):
+    """Each chain window ends 4 indices before its proof allows (keeping one)."""
+    window = profiles_module._chain_window
+
+    def short(profile, depth):
+        points = window(profile, depth)
+        return IndexPoints(points.ys[:max(1, len(points) - 4)], points.dy)
+
+    monkeypatch.setattr(profiles_module, "_chain_window", short)
+
+
+def _ratio_off_by_a_power(monkeypatch):
+    """Each chain ratio is divided by s^(0.05 mu)."""
+    chain_report = verify_module.chain_report
+
+    def off(grid, depth):
+        report = chain_report(grid, depth=depth)
+        return dataclasses.replace(report, ratios=tuple(
+            (mu, tuple((s, ratio / float(s) ** (0.05 * float(mu))) for s, ratio in row))
+            for mu, row in report.ratios))
+
+    monkeypatch.setattr(verify_module, "chain_report", off)
+
+
+@pytest.mark.parametrize("inject", [_window_cut_short, _ratio_off_by_a_power],
+                         ids=["window-cut-short", "ratio-off-by-a-power"])
+def test_chain_suite_fails_on_an_injected_fault(monkeypatch, inject):
+    # the chain suite compares each ratio with the materialized element's least
+    # term value, so one fault alone fails its one case at every seed
+    assert all(run_suite("chain", 40, seed).passed for seed in range(16))
+    inject(monkeypatch)
+    for seed in range(16):
+        failures = run_suite("chain", 40, seed).failures
+        assert any("kind=ratio" in w for w in failures), seed

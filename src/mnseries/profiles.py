@@ -760,7 +760,6 @@ def chain_report(
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly increasing")
     dom = domain if domain is not None else PerfectPoly(2, "p-power")
-    p = dom.p
 
     pairs, membership, ratios = [], [], []
     for idx, mu in enumerate(grid):
